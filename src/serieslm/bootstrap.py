@@ -13,7 +13,6 @@ partitioned across workers.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +29,10 @@ MAMMEN_HIGH = (1.0 + _SQRT5) / 2.0
 MAMMEN_P_HIGH = (_SQRT5 - 1.0) / (2.0 * _SQRT5)
 
 MULTIPLIERS = ("rademacher", "mammen")
+
+# Draws with a singular inner matrix are skipped; more than this fraction
+# aborts the run.
+MAX_FAILURE_FRAC = 0.01
 
 
 def draw_multipliers(dist: str, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -80,8 +83,8 @@ def _draw_statistic(fit: FitResult, z_resid, dist, seed, b, r_n):
 
 
 def wild_bootstrap(fit: FitResult, z_resid, t_observed: float, n_draws: int = 399,
-                   dist: str = "rademacher", seed: int = 0, levels=(0.05,),
-                   max_failure_frac: float = 0.01, threads: int = 1) -> BootstrapResult:
+                   dist: str = "rademacher", seed: int = 0,
+                   levels=(0.05,)) -> BootstrapResult:
     """Bootstrap p-value and critical values for an observed t statistic.
 
     Parameters
@@ -98,11 +101,7 @@ def wild_bootstrap(fit: FitResult, z_resid, t_observed: float, n_draws: int = 39
     dist : str
         "rademacher" or "mammen".
     seed : int
-        Base seed; draw b derives its own substream, so the result does not
-        depend on ``threads``.
-    max_failure_frac : float
-        Draws with a singular inner matrix are skipped; more than this
-        fraction aborts the run.
+        Base seed; draw b derives its own substream.
     """
     if n_draws < 1:
         raise ValueError("need at least one bootstrap draw")
@@ -113,20 +112,13 @@ def wild_bootstrap(fit: FitResult, z_resid, t_observed: float, n_draws: int = 39
     if r_n < 1 or z_resid.shape[0] != fit.n_obs:
         raise ValueError("z_resid must be n x r with r >= 1")
 
-    def run(b):
-        return _draw_statistic(fit, z_resid, dist, seed, b, r_n)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            t_star = np.fromiter(pool.map(run, range(n_draws)), dtype=float,
-                                 count=n_draws)
-    else:
-        t_star = np.fromiter((run(b) for b in range(n_draws)), dtype=float,
-                             count=n_draws)
+    t_star = np.fromiter(
+        (_draw_statistic(fit, z_resid, dist, seed, b, r_n) for b in range(n_draws)),
+        dtype=float, count=n_draws)
 
     valid = t_star[np.isfinite(t_star)]
     n_failed = n_draws - valid.size
-    if valid.size == 0 or n_failed > max_failure_frac * n_draws:
+    if valid.size == 0 or n_failed > MAX_FAILURE_FRAC * n_draws:
         raise SingularMomentMatrixError(
             f"{n_failed} of {n_draws} bootstrap draws had singular moment "
             "matrices; the design is too rich for this sample"

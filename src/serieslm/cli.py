@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bootstrap import MULTIPLIERS, wild_bootstrap
-from .design import ModelSpec, build_partially_linear, screen_collinear
+from .design import ModelSpec, build_partially_linear, parse_term, screen_collinear
 from .errors import (
     DesignError,
     InputError,
@@ -126,8 +126,6 @@ def _model_variables(spec: ModelSpec):
         if v not in names:
             names.append(v)
     for term in spec.alternative.custom_terms:
-        from .design import parse_term
-
         for v, _ in parse_term(term):
             if v not in names:
                 names.append(v)
@@ -178,7 +176,12 @@ def cmd_test(args) -> int:
         dataset = _rescale_columns(dataset, _model_variables(model))
 
     if tune_cfg.get("enabled", False):
-        return _run_tuned_test(dataset, y_name, model, tune_cfg, levels, args.out)
+        x1, x2, family = _canonical_pl_roles(model)
+        a_min = int(tune_cfg.get("a_min", 4))
+        a_max = int(tune_cfg.get("a_max", 8))
+        grid = TuningGrid(tuple(range(a_min, a_max + 1)), float(tune_cfg.get("c", 3.0)))
+        return _run_tuned(dataset, y_name, x1, x2, family, grid,
+                          tune_cfg.get("criterion", "cp"), levels, args.out)
 
     y = dataset[y_name]
     pair = build_partially_linear(dataset.columns, model)
@@ -249,20 +252,15 @@ def _canonical_pl_roles(model: ModelSpec):
     return model.linear_vars[0], model.series_vars[0][0], model.series_vars[0][1].family
 
 
-def _run_tuned_test(dataset, y_name, model, tune_cfg, levels, out_path) -> int:
-    x1, x2, family = _canonical_pl_roles(model)
-    a_min = int(tune_cfg.get("a_min", 4))
-    a_max = int(tune_cfg.get("a_max", 8))
-    grid = TuningGrid(tuple(range(a_min, a_max + 1)), float(tune_cfg.get("c", 3.0)))
-    criterion = tune_cfg.get("criterion", "cp")
+def _run_tuned(dataset, y_name, x1, x2, family, grid, criterion, levels,
+               out_path) -> int:
+    """The data-driven test on dataset columns; shared by ``tune`` and ``test``."""
+    for name in (y_name, x1, x2):
+        if name not in dataset:
+            raise InputError(f"column {name!r} not in dataset")
     result = data_driven_test(dataset[y_name], dataset[x1], dataset[x2], grid,
                               family=family, levels=levels, criterion=criterion)
-    _print_tuned(result, levels)
-    _write_json(out_path, _tuned_payload(result, dataset, levels))
-    return EXIT_OK
 
-
-def _print_tuned(result, levels):
     print(f"criterion = {result.criterion}")
     print("candidates (a, m_n, r_n, rss, statistic):")
     for a, m_n, r_n, rss, stat in result.candidate_table:
@@ -276,9 +274,7 @@ def _print_tuned(result, levels):
         word = "reject" if result.reject[a] else "no rejection"
         print(f"alpha = {a:g}: {word}")
 
-
-def _tuned_payload(result, dataset, levels):
-    return {
+    _write_json(out_path, {
         "command": "tune",
         "source": dataset.source,
         "n": dataset.n,
@@ -293,22 +289,15 @@ def _tuned_payload(result, dataset, levels):
             {"a": a, "m_n": m, "r_n": r, "rss": rss, "statistic": stat}
             for a, m, r, rss, stat in result.candidate_table
         ],
-    }
+    })
+    return EXIT_OK
 
 
 def cmd_tune(args) -> int:
-    dataset = load_csv(args.data)
-    for name in (args.y, args.x1, args.x2):
-        if name not in dataset:
-            raise InputError(f"column {name!r} not in dataset")
     grid = TuningGrid(tuple(range(args.a_min, args.a_max + 1)), args.c)
     levels = tuple(args.alpha) if args.alpha else (0.05,)
-    result = data_driven_test(dataset[args.y], dataset[args.x1], dataset[args.x2],
-                              grid, family=args.family, levels=levels,
-                              criterion=args.criterion)
-    _print_tuned(result, levels)
-    _write_json(args.out, _tuned_payload(result, dataset, levels))
-    return EXIT_OK
+    return _run_tuned(load_csv(args.data), args.y, args.x1, args.x2, args.family,
+                      grid, args.criterion, levels, args.out)
 
 
 def cmd_simulate(args) -> int:

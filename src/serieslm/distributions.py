@@ -1,31 +1,27 @@
-"""Reference distributions: standard normal and chi-square cdf/quantile.
+"""Reference distributions: standard normal and chi-square.
 
-Implemented without external dependencies so that every critical value the
-package produces is reproducible from this file alone.  The normal quantile
-uses Wichura's PPND16 rational approximation (Algorithm AS 241); the
-chi-square functions go through the regularized lower incomplete gamma,
-computed by power series for small arguments and a Lentz continued fraction
-otherwise.  Accuracy is ~1e-15 relative for the normal quantile and better
-than 1e-12 for the gamma-based cdfs, comfortably inside the 1e-10 / 1e-8
-targets the rest of the package assumes.
+The normal quantile is Wichura's PPND16 rational approximation (Algorithm
+AS 241), kept in-package because it defines the simulation DGP's normal
+variates: ``scipy.special.ndtri`` agrees with it to ~1e-15 but is not bitwise
+equal, so swapping it would move every Monte Carlo stream.  The cdfs, their
+upper tails and the chi-square quantile come from ``scipy.special``.
+P-values use the upper-tail forms, which keep full relative accuracy far in
+the tail, where ``1 - cdf`` cancels to zero.
 """
 
 from __future__ import annotations
 
-import functools
-import math
-
 import numpy as np
+import scipy.special
 
 __all__ = [
     "normal_cdf",
+    "normal_sf",
     "normal_quantile",
     "chisq_cdf",
+    "chisq_sf",
     "chisq_quantile",
-    "reg_lower_gamma",
 ]
-
-_SQRT2 = math.sqrt(2.0)
 
 # AS 241 PPND16 coefficients (Wichura, 1988).
 _A = (
@@ -105,133 +101,52 @@ def normal_quantile(p):
     return out
 
 
-def normal_cdf(x):
-    """Standard normal cdf; scalar or array."""
+def _scalar_or_array(out):
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _finite(x, what):
     arr = np.asarray(x, dtype=float)
     if np.any(~np.isfinite(arr)):
-        raise ValueError("normal_cdf requires finite x")
-    if arr.ndim == 0:
-        return 0.5 * math.erfc(-float(arr) / _SQRT2)
-    flat = arr.ravel()
-    out = np.array([0.5 * math.erfc(-v / _SQRT2) for v in flat])
-    return out.reshape(arr.shape)
+        raise ValueError(f"{what} requires finite x")
+    return arr
 
 
-def reg_lower_gamma(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) for a > 0, x >= 0.
-
-    Power series for x < a + 1, Lentz modified continued fraction for the
-    complement otherwise.
-    """
-    if a <= 0.0:
-        raise ValueError("shape parameter must be positive")
-    if x < 0.0:
-        raise ValueError("argument must be nonnegative")
-    if x == 0.0:
-        return 0.0
-    lg = math.lgamma(a)
-    # Common prefactor x^a e^{-x} / Gamma(a), in logs to dodge overflow.
-    lpre = a * math.log(x) - x - lg
-    if lpre < -745.0:
-        # Prefactor underflows; the function is 0 or 1 depending on the side.
-        return 0.0 if x < a else 1.0
-    pre = math.exp(lpre)
-
-    if x < a + 1.0:
-        # sum_{k>=0} x^k / (a (a+1) ... (a+k))
-        term = 1.0 / a
-        total = term
-        k = 0
-        while True:
-            k += 1
-            term *= x / (a + k)
-            total += term
-            if abs(term) < abs(total) * 1e-16 or k > 10000:
-                break
-        return min(1.0, pre * total)
-
-    # Continued fraction for Q(a, x) (Numerical-Recipes-style Lentz).
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0.0 else 1.0 / tiny
-    h = d
-    for i in range(1, 10000):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    q = pre * h
-    return max(0.0, 1.0 - q)
+def normal_cdf(x):
+    """Standard normal cdf; scalar or array."""
+    return _scalar_or_array(scipy.special.ndtr(_finite(x, "normal_cdf")))
 
 
-def chisq_cdf(x, df):
-    """Chi-square cdf with df >= 1 degrees of freedom; scalar or array x."""
+def normal_sf(x):
+    """Standard normal upper tail 1 - cdf, without cancellation; scalar or array."""
+    return _scalar_or_array(scipy.special.ndtr(-_finite(x, "normal_sf")))
+
+
+def _chisq_args(x, df, what):
     if df < 1:
         raise ValueError("degrees of freedom must be >= 1")
     arr = np.asarray(x, dtype=float)
     if np.any(~np.isfinite(arr)) or np.any(arr < 0.0):
-        raise ValueError("chisq_cdf requires finite x >= 0")
-    a = 0.5 * df
-    if arr.ndim == 0:
-        return reg_lower_gamma(a, 0.5 * float(arr))
-    flat = arr.ravel()
-    out = np.array([reg_lower_gamma(a, 0.5 * v) for v in flat])
-    return out.reshape(arr.shape)
+        raise ValueError(f"{what} requires finite x >= 0")
+    return arr
 
 
-def _chisq_pdf(x: float, df: float) -> float:
-    if x <= 0.0:
-        return 0.0
-    a = 0.5 * df
-    lp = (a - 1.0) * math.log(x) - 0.5 * x - a * math.log(2.0) - math.lgamma(a)
-    return math.exp(lp) if lp > -745.0 else 0.0
+def chisq_cdf(x, df):
+    """Chi-square cdf with df >= 1 degrees of freedom; scalar or array x."""
+    return _scalar_or_array(scipy.special.chdtr(df, _chisq_args(x, df, "chisq_cdf")))
 
 
-@functools.lru_cache(maxsize=4096)
+def chisq_sf(x, df):
+    """Chi-square upper tail 1 - cdf, without cancellation; scalar or array x."""
+    return _scalar_or_array(scipy.special.chdtrc(df, _chisq_args(x, df, "chisq_sf")))
+
+
 def chisq_quantile(p: float, df) -> float:
-    """Inverse chi-square cdf via safeguarded Newton on the incomplete gamma."""
+    """Inverse chi-square cdf for 0 < p < 1 and df >= 1."""
     if df < 1:
         raise ValueError("degrees of freedom must be >= 1")
     p = float(p)
     if not (0.0 < p < 1.0):
         raise ValueError("chisq_quantile requires 0 < p < 1")
-
-    # Wilson-Hilferty starting point.
-    z = normal_quantile(p)
-    h = 2.0 / (9.0 * df)
-    x = df * (1.0 - h + z * math.sqrt(h)) ** 3
-    if x <= 0.0:
-        x = 0.5 * df * math.exp((math.log(p) + math.lgamma(0.5 * df)
-                                 + 0.5 * df * math.log(2.0)) / (0.5 * df)) or 1e-8
-        x = max(x, 1e-300)
-
-    lo, hi = 0.0, math.inf
-    for _ in range(200):
-        f = chisq_cdf(x, df) - p
-        if f > 0.0:
-            hi = x
-        else:
-            lo = x
-        g = _chisq_pdf(x, df)
-        if g > 0.0:
-            step = f / g
-            x_new = x - step
-        else:
-            x_new = math.nan
-        if not (lo < x_new < hi) or not math.isfinite(x_new):
-            x_new = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * x
-        if abs(x_new - x) <= 1e-14 * max(1.0, x):
-            x = x_new
-            break
-        x = x_new
-    return float(x)
+    # chdtri inverts the upper tail
+    return float(scipy.special.chdtri(df, 1.0 - p))

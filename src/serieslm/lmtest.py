@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .distributions import chisq_cdf, chisq_quantile, normal_cdf, normal_quantile
+from .distributions import chisq_quantile, chisq_sf, normal_quantile, normal_sf
 from .errors import SingularMomentMatrixError
 from .regress import FitResult, ols_fit, residualize_block
 
@@ -34,6 +34,7 @@ __all__ = [
     "lm_statistic_nr2",
     "variant_statistic",
     "standardize",
+    "chisq_rule",
     "run_test",
 ]
 
@@ -200,6 +201,17 @@ def standardize(stat: float, df: int) -> float:
     return (stat - df) / math.sqrt(2.0 * df)
 
 
+def chisq_rule(stat: float, df: int, levels) -> tuple:
+    """Upper-tail p-value of stat under chi-square(df) and {a: stat > q_{1-a}}.
+
+    Shared by ``run_test`` and the data-driven test, so both report the same
+    p-value and break the (measure-zero) tie stat == q the same way.
+    """
+    return chisq_sf(stat, df), {
+        float(a): bool(stat > chisq_quantile(1.0 - a, df)) for a in levels
+    }
+
+
 @dataclass(frozen=True)
 class TestResult:
     """Outcome of one specification test."""
@@ -224,7 +236,7 @@ def run_test(y, w, z, variant: str = "ols_short", levels=(0.05,),
 
     The headline decision rule is one-sided normal: reject at level a when
     t > z_{1-a}.  The chi-square(r_n) rule (reject when the quadratic form
-    reaches its upper quantile) is always computed alongside.
+    exceeds its upper quantile) is always computed alongside.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -248,21 +260,17 @@ def run_test(y, w, z, variant: str = "ols_short", levels=(0.05,),
 
     r_n = z.shape[1]
     t = standardize(stat, r_n)
-    p_normal = 1.0 - normal_cdf(t)
-    p_chisq = 1.0 - chisq_cdf(stat, r_n)
     reject_normal = {
         float(a): bool(t > normal_quantile(1.0 - a)) for a in levels
     }
-    reject_chisq = {
-        float(a): bool(stat >= chisq_quantile(1.0 - a, r_n)) for a in levels
-    }
+    p_chisq, reject_chisq = chisq_rule(stat, r_n, levels)
     return TestResult(
         variant=variant,
         statistic=stat,
         r_n=r_n,
         t=t,
-        p_normal=float(p_normal),
-        p_chisq=float(p_chisq),
+        p_normal=normal_sf(t),
+        p_chisq=p_chisq,
         reject_normal=reject_normal,
         reject_chisq=reject_chisq,
         m_n=w.shape[1],

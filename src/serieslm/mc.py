@@ -62,6 +62,11 @@ _HYP_CODE = {"null": 1, "alternative": 2}
 
 CSV_HEADER = "variant,family,n,a_n,hypothesis,alpha,reject_rate,mc_se,M,seed"
 
+# Penalty constant of the restriction-count selection in data-driven cells.
+TUNING_C = 3.0
+# A cell with more failed replications than this fraction is an error.
+MAX_FAILURE_FRAC = 0.01
+
 
 @dataclass(frozen=True)
 class DgpSpec:
@@ -125,8 +130,6 @@ class McConfig:
     seed: int = 0
     bootstrap_draws: int = 399
     bootstrap_dist: str = "rademacher"
-    tuning_c: float = 3.0
-    max_failure_frac: float = 0.01
     threads: int = 1
 
     def __post_init__(self):
@@ -202,72 +205,105 @@ class _CellFailure(SeriesLMError):
     pass
 
 
-def _fixed_cell_key(family, n, a_n, hyp):
-    return (_FAMILY_CODE[family], n, a_n, _HYP_CODE[hyp])
-
-
-def _run_fixed_cell(config: McConfig, family: str, n: int, a_n: int, hyp: str,
-                    variants: tuple):
-    m_reps = config.replications
+def _fixed_replicate(config: McConfig, family: str, a_n: int, variants: tuple):
+    """One replication of a fixed-size cell: (statistic, {alpha: reject}) per variant."""
     alphas = config.alphas
     z_crit = {a: float(normal_quantile(1.0 - a)) for a in alphas}
+    need_oracle = any(v.endswith("_oracle") for v in variants)
+
+    def normal_rejects(t):
+        return {a: t > z_crit[a] for a in alphas}
+
+    def replicate(y, x1, x2, sig2, rep_key):
+        pair = simulation_design(x1, x2, a_n, family)
+        fit = ols_fit(pair.w, y)
+        zt = residualize_block(fit, pair.z)
+        w_feas = VarianceWeights.from_residuals(fit.residuals)
+        w_true = VarianceWeights.from_true(sig2) if need_oracle else None
+
+        stat_short = None
+        outcomes = []
+        for variant in variants:
+            weights = w_true if variant.endswith("_oracle") else w_feas
+            base = variant.replace("_oracle", "")
+            if base in ("ols_short", "ols_short_total", "wild_bootstrap"):
+                if variant.endswith("_oracle"):
+                    stat = lm_statistic(fit.residuals, zt, weights)
+                else:
+                    if stat_short is None:
+                        stat_short = lm_statistic(fit.residuals, zt, w_feas)
+                    stat = stat_short
+            else:
+                stat = variant_statistic(base, fit.residuals, pair.w, pair.z,
+                                         weights, fit=fit)
+
+            if variant == "ols_short_total":
+                reject = normal_rejects(standardize(stat, pair.k_n))
+            elif variant == "wild_bootstrap":
+                boot_seed = int(np.random.SeedSequence(
+                    config.seed, spawn_key=rep_key + (1,)).generate_state(1)[0])
+                boot = wild_bootstrap(
+                    fit, zt, standardize(stat, pair.r_n),
+                    n_draws=config.bootstrap_draws, dist=config.bootstrap_dist,
+                    seed=boot_seed, levels=alphas)
+                reject = {a: boot.p_value <= a for a in alphas}
+            else:
+                reject = normal_rejects(standardize(stat, pair.r_n))
+            outcomes.append((stat, reject))
+        return outcomes
+
+    return replicate
+
+
+def _grid_replicate(config: McConfig, family: str, variants: tuple):
+    """One replication of a data-driven cell: (statistic, {alpha: reject}) per variant."""
+    grid = TuningGrid(config.a_values, TUNING_C)
+    criteria = tuple(v.rsplit("_", 1)[1] for v in variants)
+
+    def replicate(y, x1, x2, sig2, rep_key):
+        results = data_driven_decisions(y, x1, x2, grid, family=family,
+                                        levels=config.alphas, criteria=criteria)
+        return [(results[c].statistic, results[c].reject) for c in criteria]
+
+    return replicate
+
+
+def _run_cell(config: McConfig, family: str, n: int, a_n: int, hyp: str,
+              variants: tuple):
+    """Run one cell's replications and return its rows; a_n = 0 is the data-driven cell.
+
+    A replication that raises a package error is dropped whole; the rates and
+    mean statistics are over the ``m_eff`` replications that completed.
+    """
+    if a_n == 0:
+        replicate = _grid_replicate(config, family, variants)
+    else:
+        replicate = _fixed_replicate(config, family, a_n, variants)
+    m_reps = config.replications
+    alphas = config.alphas
+    key = (_FAMILY_CODE[family], n, a_n, _HYP_CODE[hyp])
     counts = {v: {a: 0 for a in alphas} for v in variants}
     stat_sums = {v: 0.0 for v in variants}
     failures = 0
-    need_oracle = any(v.endswith("_oracle") for v in variants)
-    key = _fixed_cell_key(family, n, a_n, hyp)
 
     for b in range(m_reps):
         rng = _make_rng(config.seed, key + (b,))
-        y, x1, x2, sig2 = gen_sample(DgpSpec(n, hyp), rng, include_variance=True)
+        sample = gen_sample(DgpSpec(n, hyp), rng, include_variance=True)
         try:
-            pair = simulation_design(x1, x2, a_n, family)
-            fit = ols_fit(pair.w, y)
-            zt = residualize_block(fit, pair.z)
-            w_feas = VarianceWeights.from_residuals(fit.residuals)
-            w_true = VarianceWeights.from_true(sig2) if need_oracle else None
-
-            stat_short = None
-            for variant in variants:
-                weights = w_true if variant.endswith("_oracle") else w_feas
-                base = variant.replace("_oracle", "")
-                if base in ("ols_short", "ols_short_total", "wild_bootstrap"):
-                    if variant.endswith("_oracle"):
-                        stat = lm_statistic(fit.residuals, zt, weights)
-                    else:
-                        if stat_short is None:
-                            stat_short = lm_statistic(fit.residuals, zt, w_feas)
-                        stat = stat_short
-                else:
-                    stat = variant_statistic(base, fit.residuals, pair.w, pair.z,
-                                             weights, fit=fit)
-                stat_sums[variant] += stat
-
-                if variant == "ols_short_total":
-                    t = standardize(stat, pair.k_n)
-                    for a in alphas:
-                        counts[variant][a] += t > z_crit[a]
-                elif variant == "wild_bootstrap":
-                    t = standardize(stat, pair.r_n)
-                    boot_seed = int(np.random.SeedSequence(
-                        config.seed, spawn_key=key + (b, 1)).generate_state(1)[0])
-                    boot = wild_bootstrap(
-                        fit, zt, t, n_draws=config.bootstrap_draws,
-                        dist=config.bootstrap_dist, seed=boot_seed, levels=alphas)
-                    for a in alphas:
-                        counts[variant][a] += boot.p_value <= a
-                else:
-                    t = standardize(stat, pair.r_n)
-                    for a in alphas:
-                        counts[variant][a] += t > z_crit[a]
+            outcomes = replicate(*sample, key + (b,))
         except SeriesLMError:
             failures += 1
             continue
+        for variant, (stat, reject) in zip(variants, outcomes):
+            stat_sums[variant] += stat
+            for a in alphas:
+                counts[variant][a] += reject[a]
 
     m_eff = m_reps - failures
-    if failures > config.max_failure_frac * m_reps or m_eff == 0:
+    if failures > MAX_FAILURE_FRAC * m_reps or m_eff == 0:
+        where = f"a_n={a_n}" if a_n else "data-driven"
         raise _CellFailure(
-            f"cell (family={family}, n={n}, a_n={a_n}, {hyp}): "
+            f"cell (family={family}, n={n}, {where}, {hyp}): "
             f"{failures}/{m_reps} replications failed"
         )
     rows = []
@@ -279,58 +315,6 @@ def _run_fixed_cell(config: McConfig, family: str, n: int, a_n: int, hyp: str,
             rows.append(McRow(variant, family, n, a_n, hyp, a, p_hat, se,
                               m_eff, config.seed, mean_stat))
     return rows
-
-
-def _run_grid_cell(config: McConfig, family: str, n: int, hyp: str,
-                   variants: tuple):
-    m_reps = config.replications
-    alphas = config.alphas
-    grid = TuningGrid(config.a_values, config.tuning_c)
-    counts = {v: {a: 0 for a in alphas} for v in variants}
-    stat_sums = {v: 0.0 for v in variants}
-    failures = 0
-    key = (_FAMILY_CODE[family], n, 0, _HYP_CODE[hyp])
-
-    criteria = tuple(v.rsplit("_", 1)[1] for v in variants)
-    for b in range(m_reps):
-        rng = _make_rng(config.seed, key + (b,))
-        y, x1, x2 = gen_sample(DgpSpec(n, hyp), rng)
-        try:
-            results = data_driven_decisions(y, x1, x2, grid, family=family,
-                                            levels=alphas, criteria=criteria)
-            for variant, criterion in zip(variants, criteria):
-                result = results[criterion]
-                stat_sums[variant] += result.statistic
-                for a in alphas:
-                    counts[variant][a] += result.reject[a]
-        except SeriesLMError:
-            failures += 1
-            continue
-
-    m_eff = m_reps - failures
-    if failures > config.max_failure_frac * m_reps or m_eff == 0:
-        raise _CellFailure(
-            f"cell (family={family}, n={n}, data-driven, {hyp}): "
-            f"{failures}/{m_reps} replications failed"
-        )
-    rows = []
-    for variant in variants:
-        mean_stat = stat_sums[variant] / m_eff
-        for a in alphas:
-            p_hat = counts[variant][a] / m_eff
-            se = math.sqrt(p_hat * (1.0 - p_hat) / m_eff)
-            rows.append(McRow(variant, family, n, 0, hyp, a, p_hat, se,
-                              m_eff, config.seed, mean_stat))
-    return rows
-
-
-def _cell_worker(args):
-    config, kind, cell = args
-    if kind == "fixed":
-        family, n, a_n, hyp, variants = cell
-        return _run_fixed_cell(config, family, n, a_n, hyp, variants)
-    family, n, hyp, variants = cell
-    return _run_grid_cell(config, family, n, hyp, variants)
 
 
 def run_mc(config: McConfig) -> McReport:
@@ -349,15 +333,15 @@ def run_mc(config: McConfig) -> McReport:
             for hyp in config.hypotheses:
                 for a_n in config.a_values:
                     if fixed:
-                        jobs.append((config, "fixed", (family, n, a_n, hyp, fixed)))
+                        jobs.append((config, family, n, a_n, hyp, fixed))
                 if grids:
-                    jobs.append((config, "grid", (family, n, hyp, grids)))
+                    jobs.append((config, family, n, 0, hyp, grids))
 
     if config.threads > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=config.threads) as pool:
-            chunks = list(pool.map(_cell_worker, jobs))
+            chunks = list(pool.map(_run_cell, *zip(*jobs)))
     else:
-        chunks = [_cell_worker(job) for job in jobs]
+        chunks = [_run_cell(*job) for job in jobs]
 
     rows = tuple(row for chunk in chunks for row in chunk)
     return McReport(rows=rows, config=config)

@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .design import simulation_design
-from .distributions import chisq_cdf, chisq_quantile
-from .lmtest import VarianceWeights, lm_statistic
+from .lmtest import VarianceWeights, chisq_rule, lm_statistic
 from .regress import ols_fit, residualize_block
 
 __all__ = [
@@ -53,48 +52,34 @@ class TuningGrid:
         object.__setattr__(self, "candidates", cand)
 
 
-def _rss_and_sizes(y, designs):
-    y = np.asarray(y, dtype=float).ravel()
-    rss, sizes = [], []
-    for w in designs:
-        fit = ols_fit(w, y)
-        rss.append(fit.rss)
-        sizes.append(fit.n_params)
-    return np.asarray(rss), np.asarray(sizes), y.shape[0]
+def _select_size(fits, criterion: str) -> int:
+    """Index of the fit minimizing the "cp" or "gcv" score; ties to the smallest model.
 
-
-def _argmin_smallest(scores, sizes) -> int:
-    best = 0
-    for i in range(1, len(scores)):
-        if scores[i] < scores[best] or (
-            scores[i] == scores[best] and sizes[i] < sizes[best]
-        ):
-            best = i
-    return best
+    Cp scores RSS/n + 2 s2 m/n, with the error variance s2 estimated from the
+    largest candidate model; GCV scores n RSS / (n - m)^2.
+    """
+    rss = np.asarray([fit.rss for fit in fits])
+    sizes = np.asarray([fit.n_params for fit in fits])
+    n = fits[0].n_obs
+    if np.any(sizes >= n):
+        raise ValueError("every candidate needs n > m")
+    if criterion == "cp":
+        big = int(np.argmax(sizes))
+        s2 = rss[big] / (n - sizes[big])
+        scores = rss / n + 2.0 * s2 * sizes / n
+    else:
+        scores = n * rss / (n - sizes) ** 2
+    return min(range(len(fits)), key=lambda i: (scores[i], sizes[i]))
 
 
 def mallows_cp(y, designs) -> int:
-    """Index of the candidate minimizing RSS/n + 2 s2 m/n.
-
-    The error variance s2 is estimated from the largest candidate model;
-    ties go to the smallest model.
-    """
-    rss, sizes, n = _rss_and_sizes(y, designs)
-    if np.any(sizes >= n):
-        raise ValueError("every candidate needs n > m")
-    big = int(np.argmax(sizes))
-    s2 = rss[big] / (n - sizes[big])
-    scores = rss / n + 2.0 * s2 * sizes / n
-    return _argmin_smallest(scores, sizes)
+    """Index of the design whose fit of y has the smallest Mallows Cp."""
+    return _select_size([ols_fit(w, y) for w in designs], "cp")
 
 
 def gcv(y, designs) -> int:
-    """Index of the candidate minimizing n RSS / (n - m)^2; ties to smallest m."""
-    rss, sizes, n = _rss_and_sizes(y, designs)
-    if np.any(sizes >= n):
-        raise ValueError("every candidate needs n > m")
-    scores = n * rss / (n - sizes) ** 2
-    return _argmin_smallest(scores, sizes)
+    """Index of the design whose fit of y has the smallest GCV score."""
+    return _select_size([ols_fit(w, y) for w in designs], "gcv")
 
 
 def select_r(stat_by_r, r_min: int, c: float = 3.0) -> int:
@@ -146,10 +131,6 @@ def data_driven_decisions(y, x1, x2, grid: TuningGrid, family: str = "power",
     designs = [simulation_design(x1, x2, a, family) for a in grid.candidates]
     fits = [ols_fit(pair.w, y) for pair in designs]
 
-    n = y.shape[0]
-    rss = np.asarray([fit.rss for fit in fits])
-    sizes = np.asarray([fit.n_params for fit in fits])
-
     stat_cache: dict = {}
 
     def candidate_stat(i: int) -> float:
@@ -162,13 +143,7 @@ def data_driven_decisions(y, x1, x2, grid: TuningGrid, family: str = "power",
 
     out = {}
     for criterion in criteria:
-        if criterion == "cp":
-            big = int(np.argmax(sizes))
-            s2 = rss[big] / (n - sizes[big])
-            scores = rss / n + 2.0 * s2 * sizes / n
-        else:
-            scores = n * rss / (n - sizes) ** 2
-        a_idx = _argmin_smallest(scores, sizes)
+        a_idx = _select_size(fits, criterion)
 
         stat_by_r, rows = {}, []
         for i in range(a_idx, len(designs)):
@@ -180,15 +155,15 @@ def data_driven_decisions(y, x1, x2, grid: TuningGrid, family: str = "power",
         r_min = designs[a_idx].r_n
         r_hat = select_r(stat_by_r, r_min, grid.c)
         stat_hat = stat_by_r[r_hat]
+        p_value, reject = chisq_rule(stat_hat, r_min, levels)
         out[criterion] = DataDrivenResult(
             criterion=criterion,
             selected_a=grid.candidates[a_idx],
             selected_r=r_hat,
             r_min=r_min,
             statistic=stat_hat,
-            p_value=float(1.0 - chisq_cdf(stat_hat, r_min)),
-            reject={float(a): bool(stat_hat > chisq_quantile(1.0 - a, r_min))
-                    for a in levels},
+            p_value=p_value,
+            reject=reject,
             candidate_table=tuple(rows),
         )
     return out

@@ -112,11 +112,9 @@ class TestWildBootstrap:
                       levels=(0.05, 0.1))
         a = bt.wild_bootstrap(fit, zt, **kwargs)
         b = bt.wild_bootstrap(fit, zt, **kwargs)
-        c = bt.wild_bootstrap(fit, zt, threads=4, **kwargs)
         np.testing.assert_array_equal(a.t_star, b.t_star)
-        np.testing.assert_array_equal(a.t_star, c.t_star)
-        assert a.p_value == b.p_value == c.p_value
-        assert a.critical_values == c.critical_values
+        assert a.p_value == b.p_value
+        assert a.critical_values == b.critical_values
 
     def test_p_value_convention(self):
         fit, zt, _, _, _ = make_fit(seed=13)

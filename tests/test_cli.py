@@ -243,6 +243,18 @@ class TestCmdTune:
         assert payload["command"] == "tune"
         assert payload["criterion"] == "gcv"
 
+    def test_tuned_test_missing_column_is_input_error(self, tmp_path, capsys):
+        # same exit code as `serieslm tune` on a dataset without the series
+        # variable, not an uncaught KeyError
+        data = tmp_path / "d.csv"
+        data.write_text("y,x1,x3\n" + "\n".join(
+            f"{i}.5,{i % 7}.25,{i % 5}.0" for i in range(60)) + "\n")
+        cfg = sim_config(tmp_path / "c.json", tuning={"enabled": True})
+        assert main(["test", "--data", str(data), "--config", str(cfg)]) == 2
+        assert "'x2' not in dataset" in capsys.readouterr().err
+        assert main(["tune", "--data", str(data), "--y", "y", "--x1", "x1",
+                     "--x2", "x2"]) == 2
+
 
 class TestCmdSimulate:
     def test_writes_csv_and_plot_data(self, tmp_path, capsys):

@@ -8,9 +8,10 @@ import scipy.stats
 from serieslm.distributions import (
     chisq_cdf,
     chisq_quantile,
+    chisq_sf,
     normal_cdf,
     normal_quantile,
-    reg_lower_gamma,
+    normal_sf,
 )
 
 
@@ -42,6 +43,12 @@ class TestNormal:
         for p in np.linspace(0.0005, 0.9995, 57):
             assert normal_cdf(normal_quantile(p)) == pytest.approx(p, abs=1e-8)
 
+    def test_upper_tail_keeps_relative_accuracy(self):
+        x = np.array([-3.0, 0.0, 2.0, 9.0, 20.0, 37.0])
+        np.testing.assert_allclose(normal_sf(x), scipy.stats.norm.sf(x),
+                                   rtol=1e-12)
+        assert normal_sf(20.0) > 0.0  # 1 - cdf cancels to 0 here
+
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.3, np.nan])
     def test_quantile_domain(self, p):
         with pytest.raises(ValueError):
@@ -49,18 +56,20 @@ class TestNormal:
 
 
 class TestIncompleteGamma:
+    """The chi-square cdf as the regularized incomplete gamma P(df/2, x/2)."""
+
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.5, 10.0, 55.0, 200.0])
     def test_vs_scipy(self, a):
         for x in [1e-8, 0.1, 0.5 * a, a, a + 1.0, 2.0 * a, 10.0 * a]:
-            assert reg_lower_gamma(a, x) == pytest.approx(
+            assert chisq_cdf(2.0 * x, 2.0 * a) == pytest.approx(
                 scipy.special.gammainc(a, x), abs=1e-12)
 
     def test_edges(self):
-        assert reg_lower_gamma(3.0, 0.0) == 0.0
+        assert chisq_cdf(0.0, 6.0) == 0.0
         with pytest.raises(ValueError):
-            reg_lower_gamma(-1.0, 1.0)
+            chisq_cdf(2.0, -2.0)
         with pytest.raises(ValueError):
-            reg_lower_gamma(1.0, -1.0)
+            chisq_cdf(-2.0, 2.0)
 
 
 class TestChiSquare:
@@ -77,6 +86,14 @@ class TestChiSquare:
         assert chisq_cdf(x, df) == pytest.approx(p, abs=1e-8)
         assert x == pytest.approx(scipy.stats.chi2.ppf(p, df), rel=1e-9)
 
+    @pytest.mark.parametrize("df", [1, 11, 89])
+    def test_upper_tail_keeps_relative_accuracy(self, df):
+        x = np.array([0.0, 0.5 * df, 2.0 * df, 10.0 * df + 100.0, 20.0 * df + 200.0])
+        np.testing.assert_allclose(chisq_sf(x, df), scipy.stats.chi2.sf(x, df),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(chisq_sf(x, df) + chisq_cdf(x, df), 1.0,
+                                   atol=1e-15)
+
     def test_monotone_cdf(self):
         x = np.linspace(0.0, 80.0, 200)
         vals = chisq_cdf(x, 11)
@@ -85,6 +102,12 @@ class TestChiSquare:
     def test_domain(self):
         with pytest.raises(ValueError):
             chisq_cdf(-1.0, 5)
+        with pytest.raises(ValueError):
+            chisq_sf(np.inf, 5)
+        with pytest.raises(ValueError):
+            chisq_sf(3.0, 0)
+        with pytest.raises(ValueError):
+            normal_sf(np.nan)
         with pytest.raises(ValueError):
             chisq_quantile(0.0, 5)
         with pytest.raises(ValueError):

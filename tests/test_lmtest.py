@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.stats
 
+from serieslm.design import simulation_design
 from serieslm.distributions import chisq_cdf, normal_cdf
 from serieslm.errors import SingularMomentMatrixError
+from serieslm.mc import DgpSpec, gen_sample
 from serieslm.lmtest import (
     VarianceWeights,
     lm_statistic,
@@ -210,6 +213,17 @@ class TestRunTest:
         assert res.p_normal == pytest.approx(1.0 - normal_cdf(t), abs=1e-12)
         assert res.p_chisq == pytest.approx(1.0 - chisq_cdf(stat, 4), abs=1e-12)
         assert res.r_n == 4 and res.m_n == 3 and res.k_n == 7
+
+    def test_far_tail_p_values_keep_relative_accuracy(self):
+        # a strong departure puts the statistic where 1 - cdf rounds to 0
+        y, x1, x2 = gen_sample(DgpSpec(400, "alternative", seed=21))
+        y = y + 8.0 * np.cos(x1 - 2.0) * np.sin(0.75 * x2)
+        pair = simulation_design(x1, x2, 4)
+        res = run_test(y, pair.w, pair.z)
+        assert 0.0 < res.p_chisq < 1e-20
+        assert res.p_chisq == pytest.approx(
+            scipy.stats.chi2.sf(res.statistic, res.r_n), rel=1e-12)
+        assert res.p_normal == pytest.approx(scipy.stats.norm.sf(res.t), rel=1e-12)
 
     def test_oracle_weights_accepted(self):
         w, z, y, _, _, sigma2 = make_instance(73, 60, 4, 5)

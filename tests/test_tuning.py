@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from serieslm.distributions import chisq_quantile
 from serieslm.mc import DgpSpec, gen_sample
@@ -162,6 +163,15 @@ class TestDataDrivenTest:
         assert res.reject[0.05] == (
             res.statistic > chisq_quantile(0.95, res.r_min))
         assert res.selected_r in {row[2] for row in res.candidate_table}
+
+    def test_far_tail_p_value_keeps_relative_accuracy(self):
+        # a strong departure puts the statistic where 1 - cdf rounds to 0
+        y, x1, x2 = gen_sample(DgpSpec(400, "alternative", seed=21))
+        y = y + 8.0 * np.cos(x1 - 2.0) * np.sin(0.75 * x2)
+        res = data_driven_test(y, x1, x2, TuningGrid((4, 5)))
+        assert 0.0 < res.p_value < 1e-20
+        assert res.p_value == pytest.approx(
+            scipy.stats.chi2.sf(res.statistic, res.r_min), rel=1e-12)
 
     def test_selected_statistic_dominates_minimal(self):
         # the penalized selection can only pick a statistic at least as large
