@@ -4,7 +4,8 @@ Each draw multiplies the restricted residuals by an i.i.d. mean-zero,
 unit-variance two-point variable (Rademacher or Mammen), re-applies the
 annihilator of the null design to the synthetic errors (no refitting is
 needed: the bootstrap residuals equal M_W eps* exactly), and recomputes the
-statistic with the draw's own squared residuals as weights.  Draw b uses the
+statistic with ``lm_statistic``, weighted by the draw's own squared
+residuals under the same floor as the observed statistic.  Draw b uses the
 substream ``SeedSequence(seed, spawn_key=(b,))`` of a Philox counter-based
 generator, so results are reproducible independently of how draws are
 partitioned across workers.
@@ -16,9 +17,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import SingularMomentMatrixError
+from .lmtest import VarianceWeights, lm_statistic, standardize
 from .regress import FitResult, annihilate
 
 __all__ = ["MULTIPLIERS", "draw_multipliers", "wild_bootstrap", "BootstrapResult"]
@@ -68,18 +69,13 @@ def _draw_statistic(fit: FitResult, z_resid, dist, seed, b, r_n):
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(
         seed, spawn_key=(b,))))
     v = draw_multipliers(dist, fit.n_obs, rng)
-    eps_star = v * fit.residuals
-    resid_star = annihilate(fit, eps_star)
-    weights = resid_star ** 2
-    inner = (z_resid * weights[:, None]).T @ z_resid
-    u = z_resid.T @ resid_star
+    resid_star = annihilate(fit, v * fit.residuals)
     try:
-        low = np.linalg.cholesky(inner)
-    except np.linalg.LinAlgError:
+        stat = lm_statistic(resid_star, z_resid,
+                            VarianceWeights.from_residuals(resid_star))
+    except SingularMomentMatrixError:
         return math.nan
-    y = scipy.linalg.solve_triangular(low, u, lower=True)
-    stat = float(y @ y)
-    return (stat - r_n) / math.sqrt(2.0 * r_n)
+    return standardize(stat, r_n)
 
 
 def wild_bootstrap(fit: FitResult, z_resid, t_observed: float, n_draws: int = 399,

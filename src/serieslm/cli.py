@@ -168,6 +168,12 @@ def cmd_test(args) -> int:
         boot_cfg["dist"] = args.dist
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     tune_cfg = dict(cfg.get("tuning", {}))
+    if boot_cfg.get("enabled", False):
+        if tune_cfg.get("enabled", False):
+            raise InputError("the wild bootstrap is not available for the data-driven "
+                             "test (tuning enabled)")
+        if variant != "ols_short":
+            raise InputError("the wild bootstrap is defined for the ols_short variant only")
 
     dataset = load_csv(args.data)
     if y_name not in dataset:
@@ -204,8 +210,6 @@ def cmd_test(args) -> int:
 
     boot_payload = None
     if boot_cfg.get("enabled", False):
-        if variant != "ols_short":
-            raise InputError("the wild bootstrap is defined for the ols_short variant only")
         boot = wild_bootstrap(
             result.extras["fit"], result.extras["z_resid"], result.t,
             n_draws=int(boot_cfg.get("draws", 399)),

@@ -15,7 +15,6 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .basis import (
     BasisMatrix,
@@ -25,7 +24,8 @@ from .basis import (
     tensor_interactions,
     tensor_interaction_labels,
 )
-from .errors import DesignError, RankDeficiencyError
+from .errors import DesignError
+from .regress import ols_fit
 
 __all__ = [
     "AlternativeSpec",
@@ -329,8 +329,9 @@ def screen_collinear(pair: DesignPair, tol: float = 1e-10):
 
     Greedy left-to-right: a column is dropped when the squared norm of its
     residual (after projecting on W and previously kept columns) falls below
-    ``tol`` times its own squared norm.  W is never touched; a rank-deficient
-    W raises.
+    ``tol`` times its own squared norm.  W is never touched: it is factored
+    by ``ols_fit``, so a W that is rank deficient at ``regress.RANK_RTOL``
+    raises an error naming its offending columns.
 
     Returns
     -------
@@ -339,16 +340,8 @@ def screen_collinear(pair: DesignPair, tol: float = 1e-10):
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
-    q, r, piv = scipy.linalg.qr(pair.w, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    if diag.size and (diag[0] == 0.0 or np.any(diag < tol * diag[0])):
-        bad = piv[np.where(diag < tol * max(diag[0], np.finfo(float).tiny))[0]]
-        raise RankDeficiencyError(
-            "null design W is rank deficient at the screening tolerance",
-            columns=list(bad),
-        )
-
-    basis = q  # grows as Z columns are accepted
+    # orthonormal basis of W, grown as Z columns are accepted
+    basis = ols_fit(pair.w, np.zeros(pair.n_obs), column_labels=pair.w_labels).ortho
     kept_cols, kept_labels, dropped = [], [], []
     for label, col in zip(pair.z_labels, pair.z.T):
         norm2 = float(col @ col)

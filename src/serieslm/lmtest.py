@@ -8,10 +8,19 @@ alternative block Z on W, and forms
 with weights equal to the squared restricted residuals (or the true error
 variances, for oracle diagnostics).  Centering by the number of restrictions
 r_n and scaling by sqrt(2 r_n) gives an asymptotically standard normal test
-statistic; the chi-square(r_n) rule is reported alongside.  The comparator
-statistics differ in the residuals used (OLS vs FGLS-weighted) and in whether
-the variance estimate is the restriction block alone ("short") or the Schur
-complement of the full moment set ("long").
+statistic; the chi-square(r_n) rule is reported alongside.
+
+Every statistic variant is one cell of a 2x2, evaluated by
+``variant_statistic``:
+
+                    short block (Zt = M_W Z)    long block (Schur complement)
+    OLS residuals   ols_short  (the test)       ols_long
+    FGLS residuals  fgls_short                  fgls_long
+
+The residual choice is the plain OLS residuals with weights S, or the
+residuals of the S^{-1}-weighted refit with weights S^{-1}; the block is the
+restriction block alone ("short") or the Schur complement of the full moment
+set ("long").
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ __all__ = [
     "run_test",
 ]
 
-# residual type (OLS or FGLS-weighted) x variance block (short or long)
+# residual choice (OLS or FGLS-weighted) x variance block (short or long)
 VARIANTS = ("ols_short", "ols_long", "fgls_long", "fgls_short")
 
 RESIDUAL_FLOOR_REL = 1e-12
@@ -91,6 +100,12 @@ def _quadform(inner: np.ndarray, u: np.ndarray, what: str) -> float:
     return float(v @ v)
 
 
+def _short_form(e: np.ndarray, zt: np.ndarray, omega: np.ndarray) -> float:
+    """The short block's quadratic form e' Zt (Zt' diag(omega) Zt)^{-1} Zt' e."""
+    return _quadform(_weighted_gram(zt, omega, zt), zt.T @ e,
+                     "restriction moment matrix")
+
+
 def lm_statistic(residuals, z_resid, weights: VarianceWeights) -> float:
     """Quadratic form r' Zt (Zt' S Zt)^{-1} Zt' r; always nonnegative."""
     r = np.asarray(residuals, dtype=float).ravel()
@@ -101,8 +116,7 @@ def lm_statistic(residuals, z_resid, weights: VarianceWeights) -> float:
         raise ValueError("need at least one restriction column")
     if zt.shape[0] <= zt.shape[1]:
         raise ValueError("need n > r")
-    inner = _weighted_gram(zt, weights.values, zt)
-    return _quadform(inner, zt.T @ r, "restriction moment matrix")
+    return _short_form(r, zt, weights.values)
 
 
 def lm_statistic_nr2(residuals, z_resid) -> float:
@@ -120,74 +134,55 @@ def lm_statistic_nr2(residuals, z_resid) -> float:
     return float(ones @ fitted)
 
 
-def _fgls_residuals(residuals, w, v):
-    """Residuals of the variance-weighted refit, from the plain OLS residuals.
-
-    With weights V the weighted fit of Y on W leaves residuals
-    [I - W (W'VW)^{-1} W'V] applied to the OLS residuals (the fitted part of
-    Y drops out), which satisfy W'V r = 0 exactly.
-    """
-    c = _weighted_gram(w, v, w)
-    lc = _chol(c, "weighted null moment matrix")
-    coef = scipy.linalg.cho_solve((lc, True), w.T @ (v * residuals))
-    return residuals - w @ coef, lc
-
-
-def variant_statistic(variant: str, residuals, w, z,
-                      weights: VarianceWeights, fit: FitResult = None) -> float:
+def variant_statistic(variant: str, residuals, w, z, weights: VarianceWeights,
+                      fit: FitResult = None, z_resid=None) -> float:
     """Evaluate one of the statistic variants on raw designs.
 
-    With S = diag(weights), V = S^{-1}, r the OLS residuals of Y on W, and
-    rv the residuals of the V-weighted refit (so W'V rv = 0):
+    A variant is a residual choice times a variance block.  With
+    S = diag(weights), V = S^{-1}, r the OLS residuals of Y on W, and rv the
+    residuals of the V-weighted refit (so W'V rv = 0), the residual choice
+    fixes the score residuals e and the weights Omega,
 
-    ols_short   r' Zt (Zt' S Zt)^{-1} Zt' r                       (the default)
-    ols_long    r' Z  (Z'SZ - Z'SW (W'SW)^{-1} W'SZ)^{-1} Z' r
-    fgls_long   rv' V Z (Z'VZ - Z'VW (W'VW)^{-1} W'VZ)^{-1} Z' V rv
-    fgls_short  rv' V Zt (Zt' V Zt)^{-1} Zt' V rv
+        ols    e = r,       Omega = S
+        fgls   e = V rv,    Omega = V
 
-    The short variants need the annihilated block Zt = M_W Z; pass ``fit``
-    to reuse an existing factorization of W.
+    and the block fixes the regressors of the quadratic form,
+
+        short  e' Zt (Zt' Omega Zt)^{-1} Zt' e,            Zt = M_W Z
+        long   e' Z  (Z'Omega Z - Z'Omega W (W'Omega W)^{-1} W'Omega Z)^{-1} Z' e
+
+    so ``ols_short`` (the default test) is ``lm_statistic``.  The short block
+    takes ``z_resid`` = Zt if given, else annihilates Z with ``fit`` (or a
+    fresh factorization of W).  The long block and the FGLS refit share one
+    Cholesky factor of W'Omega W.
     """
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    residual_choice, block = variant.split("_")
     r = np.asarray(residuals, dtype=float).ravel()
     w = np.asarray(w, dtype=float)
     z = np.asarray(z, dtype=float)
-    s = weights.values
 
-    if variant == "ols_short":
-        if fit is None:
-            # only the projection context of the fit is used
-            fit = ols_fit(w, np.zeros(r.shape[0]))
-        zt = residualize_block(fit, z)
-        return lm_statistic(r, zt, weights)
+    fgls = residual_choice == "fgls"
+    omega = 1.0 / weights.values if fgls else weights.values
+    if fgls or block == "long":
+        lc = _chol(_weighted_gram(w, omega, w), "null moment matrix")
+    e = r
+    if fgls:
+        # rv from the OLS residuals: the fitted part of Y drops out of the refit
+        e = omega * (r - w @ scipy.linalg.cho_solve((lc, True), w.T @ (omega * r)))
 
-    if variant == "ols_long":
-        a = _weighted_gram(z, s, z)
-        b = _weighted_gram(w, s, z)
-        c = _weighted_gram(w, s, w)
-        lc = _chol(c, "null-block moment matrix")
-        x = scipy.linalg.cho_solve((lc, True), b)
-        inner = a - b.T @ x
-        inner = 0.5 * (inner + inner.T)
-        return _quadform(inner, z.T @ r, "long variance matrix")
+    if block == "short":
+        if z_resid is None:
+            if fit is None:
+                # only the projection context of the fit is used
+                fit = ols_fit(w, np.zeros(r.shape[0]))
+            z_resid = residualize_block(fit, z)
+        return _short_form(e, z_resid, omega)
 
-    if variant not in ("fgls_long", "fgls_short"):
-        raise ValueError(f"unknown variant {variant!r}")
-
-    v = 1.0 / s
-    rv, lc_w = _fgls_residuals(r, w, v)
-    if variant == "fgls_short":
-        if fit is None:
-            fit = ols_fit(w, np.zeros(r.shape[0]))
-        zt = residualize_block(fit, z)
-        inner = _weighted_gram(zt, v, zt)
-        return _quadform(inner, zt.T @ (v * rv),
-                         "weighted restriction moment matrix")
-
-    b = _weighted_gram(w, v, z)
-    x = scipy.linalg.cho_solve((lc_w, True), b)
-    inner = _weighted_gram(z, v, z) - b.T @ x
-    inner = 0.5 * (inner + inner.T)
-    return _quadform(inner, z.T @ (v * rv), "long variance matrix")
+    b = _weighted_gram(w, omega, z)
+    inner = _weighted_gram(z, omega, z) - b.T @ scipy.linalg.cho_solve((lc, True), b)
+    return _quadform(0.5 * (inner + inner.T), z.T @ e, "long variance matrix")
 
 
 def standardize(stat: float, df: int) -> float:
@@ -238,8 +233,6 @@ def run_test(y, w, z, variant: str = "ols_short", levels=(0.05,),
     t > z_{1-a}.  The chi-square(r_n) rule (reject when the quadratic form
     exceeds its upper quantile) is always computed alongside.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     y = np.asarray(y, dtype=float).ravel()
     w = np.asarray(w, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -253,10 +246,7 @@ def run_test(y, w, z, variant: str = "ols_short", levels=(0.05,),
         if true_variances is not None
         else VarianceWeights.from_residuals(fit.residuals)
     )
-    if variant == "ols_short":
-        stat = lm_statistic(fit.residuals, zt, weights)
-    else:
-        stat = variant_statistic(variant, fit.residuals, w, z, weights, fit=fit)
+    stat = variant_statistic(variant, fit.residuals, w, z, weights, z_resid=zt)
 
     r_n = z.shape[1]
     t = standardize(stat, r_n)

@@ -25,7 +25,7 @@ from .bootstrap import wild_bootstrap
 from .design import simulation_design
 from .distributions import normal_quantile
 from .errors import SeriesLMError
-from .lmtest import VarianceWeights, lm_statistic, standardize, variant_statistic
+from .lmtest import VARIANTS, VarianceWeights, standardize, variant_statistic
 from .regress import ols_fit, residualize_block
 from .tuning import TuningGrid, data_driven_decisions
 
@@ -41,20 +41,17 @@ __all__ = [
     "CSV_HEADER",
 ]
 
-FIXED_VARIANTS = (
-    "ols_short",
-    "ols_short_total",
-    "ols_long",
-    "fgls_long",
-    "fgls_short",
-    "ols_short_oracle",
-    "ols_long_oracle",
-    "fgls_long_oracle",
-    "fgls_short_oracle",
-    "wild_bootstrap",
-)
+# MC name -> (statistic variant, true variances?, decision); the decision is
+# the normal rule on the statistic standardized by r_n or by k_n, or the wild
+# bootstrap p-value of the r_n-standardized statistic.
+FIXED_VARIANTS = {
+    **{v: (v, False, "r_n") for v in VARIANTS},
+    "ols_short_total": ("ols_short", False, "k_n"),
+    **{f"{v}_oracle": (v, True, "r_n") for v in VARIANTS},
+    "wild_bootstrap": ("ols_short", False, "bootstrap"),
+}
 GRID_VARIANTS = ("data_driven_cp", "data_driven_gcv")
-MC_VARIANTS = FIXED_VARIANTS + GRID_VARIANTS
+MC_VARIANTS = tuple(FIXED_VARIANTS) + GRID_VARIANTS
 
 HYPOTHESES = ("null", "alternative")
 _FAMILY_CODE = {"power": 1, "spline": 2}
@@ -209,37 +206,24 @@ def _fixed_replicate(config: McConfig, family: str, a_n: int, variants: tuple):
     """One replication of a fixed-size cell: (statistic, {alpha: reject}) per variant."""
     alphas = config.alphas
     z_crit = {a: float(normal_quantile(1.0 - a)) for a in alphas}
-    need_oracle = any(v.endswith("_oracle") for v in variants)
-
-    def normal_rejects(t):
-        return {a: t > z_crit[a] for a in alphas}
 
     def replicate(y, x1, x2, sig2, rep_key):
         pair = simulation_design(x1, x2, a_n, family)
         fit = ols_fit(pair.w, y)
         zt = residualize_block(fit, pair.z)
-        w_feas = VarianceWeights.from_residuals(fit.residuals)
-        w_true = VarianceWeights.from_true(sig2) if need_oracle else None
-
-        stat_short = None
+        weights = {False: VarianceWeights.from_residuals(fit.residuals),
+                   True: VarianceWeights.from_true(sig2)}
+        stats = {}  # (statistic variant, true variances?) -> statistic
         outcomes = []
-        for variant in variants:
-            weights = w_true if variant.endswith("_oracle") else w_feas
-            base = variant.replace("_oracle", "")
-            if base in ("ols_short", "ols_short_total", "wild_bootstrap"):
-                if variant.endswith("_oracle"):
-                    stat = lm_statistic(fit.residuals, zt, weights)
-                else:
-                    if stat_short is None:
-                        stat_short = lm_statistic(fit.residuals, zt, w_feas)
-                    stat = stat_short
-            else:
-                stat = variant_statistic(base, fit.residuals, pair.w, pair.z,
-                                         weights, fit=fit)
+        for name in variants:
+            variant, oracle, decision = FIXED_VARIANTS[name]
+            if (variant, oracle) not in stats:
+                stats[variant, oracle] = variant_statistic(
+                    variant, fit.residuals, pair.w, pair.z, weights[oracle],
+                    z_resid=zt)
+            stat = stats[variant, oracle]
 
-            if variant == "ols_short_total":
-                reject = normal_rejects(standardize(stat, pair.k_n))
-            elif variant == "wild_bootstrap":
+            if decision == "bootstrap":
                 boot_seed = int(np.random.SeedSequence(
                     config.seed, spawn_key=rep_key + (1,)).generate_state(1)[0])
                 boot = wild_bootstrap(
@@ -248,7 +232,8 @@ def _fixed_replicate(config: McConfig, family: str, a_n: int, variants: tuple):
                     seed=boot_seed, levels=alphas)
                 reject = {a: boot.p_value <= a for a in alphas}
             else:
-                reject = normal_rejects(standardize(stat, pair.r_n))
+                t = standardize(stat, pair.k_n if decision == "k_n" else pair.r_n)
+                reject = {a: t > z_crit[a] for a in alphas}
             outcomes.append((stat, reject))
         return outcomes
 

@@ -138,6 +138,23 @@ class TestCmdTest:
                      "--variant", "fgls_long", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["variant"] == "fgls_long"
 
+    @pytest.mark.parametrize("extra,flags", [
+        ({}, ["--variant", "fgls_long", "--bootstrap", "99"]),
+        ({"tuning": {"enabled": True}}, ["--bootstrap", "99"]),
+    ], ids=["fgls_long", "tuning"])
+    def test_unsupported_bootstrap_rejected_before_any_output(
+            self, tmp_path, capsys, extra, flags):
+        data = write_sim_csv(tmp_path / "d.csv")
+        cfg = sim_config(tmp_path / "c.json", **extra)
+        out = tmp_path / "res.json"
+        code = main(["test", "--data", str(data), "--config", str(cfg),
+                     "--out", str(out)] + flags)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "bootstrap" in captured.err
+        assert not out.exists()
+
     def test_missing_column_is_input_error(self, tmp_path):
         data = tmp_path / "d.csv"
         data.write_text("a,b\n1,2\n3,4\n5,6\n")

@@ -219,7 +219,7 @@ class TestScreenCollinear:
     def test_rank_deficient_w_is_an_error(self):
         w = np.ones((30, 2))
         z = np.random.default_rng(24).normal(size=(30, 2))
-        with pytest.raises(RankDeficiencyError):
+        with pytest.raises(RankDeficiencyError, match="offending columns: w1"):
             screen_collinear(self._pair(w, z))
 
     def test_bad_tolerance(self):

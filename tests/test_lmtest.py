@@ -9,6 +9,7 @@ from serieslm.distributions import chisq_cdf, normal_cdf
 from serieslm.errors import SingularMomentMatrixError
 from serieslm.mc import DgpSpec, gen_sample
 from serieslm.lmtest import (
+    VARIANTS,
     VarianceWeights,
     lm_statistic,
     lm_statistic_nr2,
@@ -163,22 +164,22 @@ class TestStandardize:
 
 
 class TestInvariance:
-    def test_statistic_invariant_to_z_reparameterization(self):
-        w, z, y, fit, zt, _ = make_instance(61, 90, 4, 6)
-        weights = VarianceWeights.from_residuals(fit.residuals)
-        base = lm_statistic(fit.residuals, zt, weights)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_statistic_invariant_to_z_reparameterization(self, variant):
+        w, z, y, _, _, _ = make_instance(61, 90, 4, 6)
         rng = np.random.default_rng(610)
         a = rng.normal(size=(6, 6)) + 4.0 * np.eye(6)
-        zt2 = residualize_block(fit, z @ a)
-        again = lm_statistic(fit.residuals, zt2, weights)
-        assert again == pytest.approx(base, rel=1e-8)
+        r1 = run_test(y, w, z, variant=variant)
+        r2 = run_test(y, w, z @ a, variant=variant)
+        assert r2.statistic == pytest.approx(r1.statistic, rel=1e-8)
 
-    def test_statistic_invariant_to_w_reparameterization(self):
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_statistic_invariant_to_w_reparameterization(self, variant):
         w, z, y, _, _, _ = make_instance(62, 90, 4, 6)
         rng = np.random.default_rng(620)
         b = rng.normal(size=(4, 4)) + 4.0 * np.eye(4)
-        r1 = run_test(y, w, z)
-        r2 = run_test(y, w @ b, z)
+        r1 = run_test(y, w, z, variant=variant)
+        r2 = run_test(y, w @ b, z, variant=variant)
         assert r2.statistic == pytest.approx(r1.statistic, rel=1e-8)
 
 

@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from serieslm.design import simulation_design
+from serieslm.lmtest import run_test
 from serieslm.mc import (
     CSV_HEADER,
     DgpSpec,
@@ -117,6 +119,36 @@ class TestRunMc:
         report = run_mc(tiny_config(replications=10, hypotheses=("null",)))
         assert np.isfinite(report.mean_statistic("ols_short", "power", 120, 4,
                                                  "null"))
+
+
+class TestVariantTable:
+    def test_every_fixed_variant_is_its_run_test_statistic(self):
+        # one replication of one cell, rebuilt from the documented Philox key
+        # (family, n, a_n, hypothesis, replication) = (power 1, 150, 5,
+        # alternative 2, 0); an MC name is (statistic, weights, decision), so
+        # its mean statistic is that of run_test on the same sample
+        names = ("ols_short", "ols_short_total", "ols_long", "fgls_long",
+                 "fgls_short", "ols_short_oracle", "ols_long_oracle",
+                 "fgls_long_oracle", "fgls_short_oracle", "wild_bootstrap")
+        seed = 31
+        report = run_mc(McConfig(replications=1, n_values=(150,), a_values=(5,),
+                                 families=("power",), variants=names,
+                                 hypotheses=("alternative",), seed=seed,
+                                 bootstrap_draws=19))
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(
+            seed, spawn_key=(1, 150, 5, 2, 0))))
+        y, x1, x2, sigma2 = gen_sample(DgpSpec(150, "alternative"), rng,
+                                       include_variance=True)
+        pair = simulation_design(x1, x2, 5)
+        for name in names:
+            oracle = name.endswith("_oracle")
+            base = name.removesuffix("_oracle")
+            if base in ("ols_short_total", "wild_bootstrap"):
+                base = "ols_short"
+            expected = run_test(y, pair.w, pair.z, variant=base,
+                                true_variances=sigma2 if oracle else None)
+            got = report.mean_statistic(name, "power", 150, 5, "alternative")
+            assert got == expected.statistic, name
 
 
 class TestEmitReport:
