@@ -42,16 +42,13 @@ class BasisSpec:
         Number of basis terms, including the constant.
     spline_order : int
         Order s of the truncated-power spline (cubic by default); ignored
-        for the power family.
-    knot_rule : str
-        Only "empirical_quantile" is supported: ``a - s - 1`` knots at the
-        quantile levels k / (a - s), k = 1, ...
+        for the power family.  A spline carries ``a - s - 1`` knots at the
+        empirical quantile levels k / (a - s), k = 1, ...
     """
 
     family: str
     a: int
     spline_order: int = 3
-    knot_rule: str = "empirical_quantile"
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -65,8 +62,6 @@ class BasisSpec:
                 raise ValueError(
                     f"spline basis needs a >= s + 1 (got a={self.a}, s={self.spline_order})"
                 )
-        if self.knot_rule != "empirical_quantile":
-            raise ValueError(f"unknown knot rule {self.knot_rule!r}")
 
     @property
     def n_knots(self) -> int:
@@ -94,10 +89,6 @@ class BasisMatrix:
             raise ValueError("one label per column required")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "column_labels", tuple(self.column_labels))
-
-    @property
-    def n_columns(self) -> int:
-        return self.values.shape[1]
 
 
 def _as_vector(v, what="input"):
@@ -197,9 +188,9 @@ def restricted_interaction_order(a: int) -> int:
 def tensor_interactions(b1: BasisMatrix, b2: BasisMatrix) -> np.ndarray:
     """All products of non-constant columns of two bases.
 
-    Returns an ``n x (p-1)(q-1)`` array (paired with labels via
-    ``tensor_interaction_labels``); the constant columns are dropped before
-    multiplying so plain univariate terms never reappear here.
+    Returns an ``n x (p-1)(q-1)`` array whose columns run over the terms of
+    ``b2`` fastest; the constant columns are dropped before multiplying so
+    plain univariate terms never reappear here.
     """
     m1, m2 = b1.values, b2.values
     if m1.shape[0] != m2.shape[0]:
@@ -209,10 +200,3 @@ def tensor_interactions(b1: BasisMatrix, b2: BasisMatrix) -> np.ndarray:
     prods = left[:, :, None] * right[:, None, :]
     return prods.reshape(m1.shape[0], -1)
 
-
-def tensor_interaction_labels(b1: BasisMatrix, b2: BasisMatrix) -> tuple:
-    return tuple(
-        f"{l1}*{l2}"
-        for l1 in b1.column_labels[1:]
-        for l2 in b2.column_labels[1:]
-    )

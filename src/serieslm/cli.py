@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bootstrap import MULTIPLIERS, wild_bootstrap
-from .design import ModelSpec, build_partially_linear, parse_term, screen_collinear
+from .design import ModelSpec, build_partially_linear, screen_collinear
 from .errors import (
     DesignError,
     InputError,
@@ -107,6 +107,14 @@ def _load_config(path) -> dict:
         raise InputError(f"config {path} is not valid JSON: {exc}") from exc
 
 
+def _config_value(cfg: dict, key: str, kind: type, default):
+    value = cfg.get(key, default)
+    if not isinstance(value, kind):
+        raise InputError(f"config {key!r} must be a {kind.__name__}, "
+                         f"not {type(value).__name__}")
+    return kind(value)
+
+
 def _rescale_columns(dataset: Dataset, names) -> Dataset:
     cols = dict(dataset.columns)
     for name in names:
@@ -118,18 +126,6 @@ def _rescale_columns(dataset: Dataset, names) -> Dataset:
             raise InputError(f"variable {name!r} is constant; cannot rescale")
         cols[name] = 2.0 * (v - lo) / (hi - lo) - 1.0
     return Dataset(columns=cols, n=dataset.n, source=dataset.source)
-
-
-def _model_variables(spec: ModelSpec):
-    names = list(spec.linear_vars) + [v for v, _ in spec.series_vars]
-    for v, _ in spec.alternative.basis:
-        if v not in names:
-            names.append(v)
-    for term in spec.alternative.custom_terms:
-        for v, _ in parse_term(term):
-            if v not in names:
-                names.append(v)
-    return names
 
 
 def _fmt(x: float) -> str:
@@ -150,7 +146,7 @@ def cmd_test(args) -> int:
         raise InputError("config must contain a 'model' section")
     try:
         model = ModelSpec.from_dict(cfg["model"])
-    except (KeyError, ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise InputError(f"bad model config: {exc}") from exc
 
     y_name = cfg.get("y", args.y)
@@ -159,15 +155,19 @@ def cmd_test(args) -> int:
     variant = args.variant or cfg.get("variant", "ols_short")
     if variant not in VARIANTS:
         raise InputError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    levels = tuple(args.alpha) if args.alpha else tuple(cfg.get("alpha", [0.05]))
-    boot_cfg = dict(cfg.get("bootstrap", {}))
+    levels = tuple(args.alpha or _config_value(cfg, "alpha", list, [0.05]))
+    if not all(isinstance(a, (int, float)) for a in levels):
+        raise InputError("config 'alpha' must be a list of numbers")
+    boot_cfg = _config_value(cfg, "bootstrap", dict, {})
     if args.bootstrap is not None:
+        if args.bootstrap < 0:
+            raise InputError("--bootstrap must be >= 0 (0 disables)")
         boot_cfg["enabled"] = args.bootstrap > 0
         boot_cfg["draws"] = args.bootstrap
     if args.dist:
         boot_cfg["dist"] = args.dist
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    tune_cfg = dict(cfg.get("tuning", {}))
+    tune_cfg = _config_value(cfg, "tuning", dict, {})
     if boot_cfg.get("enabled", False):
         if tune_cfg.get("enabled", False):
             raise InputError("the wild bootstrap is not available for the data-driven "
@@ -179,7 +179,7 @@ def cmd_test(args) -> int:
     if y_name not in dataset:
         raise InputError(f"response column {y_name!r} not in dataset")
     if args.rescale or cfg.get("rescale", False):
-        dataset = _rescale_columns(dataset, _model_variables(model))
+        dataset = _rescale_columns(dataset, model.variables)
 
     if tune_cfg.get("enabled", False):
         x1, x2, family = _canonical_pl_roles(model)
@@ -242,6 +242,7 @@ def cmd_test(args) -> int:
         "reject_normal": {repr(a): v for a, v in result.reject_normal.items()},
         "reject_chisq": {repr(a): v for a, v in result.reject_chisq.items()},
         "bootstrap": boot_payload,
+        "weights_floored": result.weights_floored,
         "seed": seed,
     })
     return EXIT_OK

@@ -12,17 +12,18 @@ columns that are numerically inside the span of what came before them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import combinations
 
 import numpy as np
 
 from .basis import (
     BasisMatrix,
     BasisSpec,
+    _power_label,
     build_basis,
     restricted_interaction_order,
     tensor_interactions,
-    tensor_interaction_labels,
 )
 from .errors import DesignError
 from .regress import ols_fit
@@ -58,6 +59,8 @@ class AlternativeSpec:
             raise ValueError(f"unknown alternative recipe {self.recipe!r}")
         object.__setattr__(self, "basis", tuple((v, s) for v, s in self.basis))
         object.__setattr__(self, "custom_terms", tuple(self.custom_terms))
+        if not all(isinstance(t, str) for t in self.custom_terms):
+            raise ValueError("custom terms must be strings")
         if self.recipe == "custom":
             if not self.custom_terms:
                 raise ValueError("custom recipe needs a nonempty term list")
@@ -88,6 +91,15 @@ class ModelSpec:
         if not self.linear_vars and not self.series_vars:
             raise ValueError("model has no variables")
 
+    @property
+    def variables(self) -> tuple:
+        """Every data column the model reads, null variables first."""
+        alt = self.alternative
+        names = [*self.linear_vars, *(v for v, _ in self.series_vars),
+                 *(v for v, _ in alt.basis),
+                 *(v for term in alt.custom_terms for v, _ in parse_term(term))]
+        return tuple(dict.fromkeys(names))
+
     def to_dict(self) -> dict:
         return {
             "linear_vars": list(self.linear_vars),
@@ -113,16 +125,19 @@ class ModelSpec:
                     BasisSpec(entry.get("family", "power"), int(entry["a"]),
                               int(entry.get("spline_order", 3))))
 
-        alt = d.get("alternative", {})
-        return cls(
-            linear_vars=tuple(d.get("linear_vars", ())),
-            series_vars=tuple(_spec(e) for e in d.get("series_vars", ())),
-            alternative=AlternativeSpec(
-                recipe=alt.get("recipe", "restricted_tensor"),
-                basis=tuple(_spec(e) for e in alt.get("basis", ())),
-                custom_terms=tuple(alt.get("custom_terms", ())),
-            ),
-        )
+        try:
+            alt = d.get("alternative", {})
+            return cls(
+                linear_vars=tuple(d.get("linear_vars", ())),
+                series_vars=tuple(_spec(e) for e in d.get("series_vars", ())),
+                alternative=AlternativeSpec(
+                    recipe=alt.get("recipe", "restricted_tensor"),
+                    basis=tuple(_spec(e) for e in alt.get("basis", ())),
+                    custom_terms=tuple(alt.get("custom_terms", ())),
+                ),
+            )
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError(f"wrong shape ({type(exc).__name__}: {exc})") from None
 
 
 @dataclass(frozen=True)
@@ -183,47 +198,7 @@ def parse_term(term: str):
 
 
 def _term_label(factors) -> str:
-    return "*".join(v if p == 1 else f"{v}^{p}" for v, p in factors)
-
-
-def _combine_labels(l1: str, l2: str) -> str:
-    return "*".join(sorted((l1, l2)))
-
-
-class _ColumnPool:
-    """Accumulates labeled columns, dropping label duplicates."""
-
-    def __init__(self):
-        self.labels = []
-        self.columns = []
-        self._seen = set()
-
-    def add(self, label: str, col: np.ndarray) -> bool:
-        if label in self._seen:
-            return False
-        self._seen.add(label)
-        self.labels.append(label)
-        self.columns.append(np.asarray(col, dtype=float).ravel())
-        return True
-
-    def has(self, label: str) -> bool:
-        return label in self._seen
-
-    def matrix(self, n: int) -> np.ndarray:
-        if not self.columns:
-            return np.empty((n, 0))
-        return np.column_stack(self.columns)
-
-
-def _get_column(data, name: str) -> np.ndarray:
-    try:
-        col = data[name]
-    except KeyError:
-        raise DesignError(f"variable {name!r} not found in data") from None
-    arr = np.asarray(col, dtype=float).ravel()
-    if not np.all(np.isfinite(arr)):
-        raise DesignError(f"variable {name!r} contains non-finite values")
-    return arr
+    return "*".join(_power_label(v, p) for v, p in factors)
 
 
 def build_partially_linear(data, spec: ModelSpec) -> DesignPair:
@@ -234,73 +209,77 @@ def build_partially_linear(data, spec: ModelSpec) -> DesignPair:
     its own constant; Z holds the alternative terms whose canonical label is
     not already in W.
     """
-    all_vars = list(spec.linear_vars) + [v for v, _ in spec.series_vars]
-    n = _get_column(data, all_vars[0]).shape[0]
+    n = None
 
-    basis_cache: dict = {}
-
-    def get_basis(var: str, bspec: BasisSpec) -> BasisMatrix:
-        key = (var, bspec.family, bspec.a, bspec.spline_order)
-        if key not in basis_cache:
-            col = _get_column(data, var)
-            if col.shape[0] != n:
-                raise DesignError(f"variable {var!r} has inconsistent length")
-            basis_cache[key] = build_basis(col, bspec, name=var)
-        return basis_cache[key]
-
-    w_pool = _ColumnPool()
-    w_pool.add("const", np.ones(n))
-    for var in spec.linear_vars:
-        col = _get_column(data, var)
-        if col.shape[0] != n:
+    def column(var: str) -> np.ndarray:
+        try:
+            arr = np.asarray(data[var], dtype=float).ravel()
+        except KeyError:
+            raise DesignError(f"variable {var!r} not found in data") from None
+        if not np.all(np.isfinite(arr)):
+            raise DesignError(f"variable {var!r} contains non-finite values")
+        if n is not None and arr.shape[0] != n:
             raise DesignError(f"variable {var!r} has inconsistent length")
-        if not w_pool.add(var, col):
-            raise DesignError(f"duplicate column {var!r} in null design")
-    for var, bspec in spec.series_vars:
-        b = get_basis(var, bspec)
-        for label, col in zip(b.column_labels[1:], b.values[:, 1:].T):
-            if not w_pool.add(label, col):
-                raise DesignError(f"duplicate column {label!r} in null design")
+        return arr
 
-    alt = spec.alternative
-    z_pool = _ColumnPool()
+    n = column(spec.variables[0]).shape[0]
+    bases = {}
 
-    def add_alt(label: str, col: np.ndarray):
-        if not w_pool.has(label):
-            z_pool.add(label, col)
+    def basis(var: str, bspec: BasisSpec) -> BasisMatrix:
+        if (var, bspec) not in bases:
+            bases[var, bspec] = build_basis(column(var), bspec, name=var)
+        return bases[var, bspec]
 
-    if alt.recipe == "custom":
-        for term in alt.custom_terms:
-            factors = parse_term(term)
-            col = np.ones(n)
-            for var, power in factors:
-                col = col * _get_column(data, var) ** power
-            add_alt(_term_label(factors), col)
-    else:
+    def own_terms(var: str, bspec: BasisSpec):
+        b = basis(var, bspec)
+        return zip(b.column_labels[1:], b.values[:, 1:].T)
+
+    def null_terms():
+        for var in spec.linear_vars:
+            yield var, column(var)
+        for var, bspec in spec.series_vars:
+            yield from own_terms(var, bspec)
+
+    def alt_terms():
+        alt = spec.alternative
+        if alt.recipe == "custom":
+            for term in alt.custom_terms:
+                factors = parse_term(term)
+                col = np.ones(n)
+                for var, power in factors:
+                    col = col * column(var) ** power
+                yield _term_label(factors), col
+            return
         for var, bspec in alt.basis:
-            b = get_basis(var, bspec)
-            for label, col in zip(b.column_labels[1:], b.values[:, 1:].T):
-                add_alt(label, col)
-        if alt.recipe in ("full_tensor", "restricted_tensor"):
-            inter_bases = []
-            for var, bspec in alt.basis:
-                if alt.recipe == "restricted_tensor":
-                    a_bar = restricted_interaction_order(bspec.a)
-                    bspec = BasisSpec(bspec.family, a_bar, bspec.spline_order)
-                inter_bases.append(get_basis(var, bspec))
-            for i in range(len(inter_bases)):
-                for j in range(i + 1, len(inter_bases)):
-                    cols = tensor_interactions(inter_bases[i], inter_bases[j])
-                    labels = tensor_interaction_labels(inter_bases[i], inter_bases[j])
-                    for label, col in zip(labels, cols.T):
-                        add_alt(_combine_labels(*label.split("*", 1)), col)
+            yield from own_terms(var, bspec)
+        if alt.recipe == "additive_only":
+            return
+        if alt.recipe == "restricted_tensor":
+            inter = [basis(v, replace(s, a=restricted_interaction_order(s.a)))
+                     for v, s in alt.basis]
+        else:
+            inter = [basis(v, s) for v, s in alt.basis]
+        for b1, b2 in combinations(inter, 2):
+            labels = ("*".join(sorted((l1, l2))) for l1 in b1.column_labels[1:]
+                      for l2 in b2.column_labels[1:])
+            yield from zip(labels, tensor_interactions(b1, b2).T)
 
-    w = w_pool.matrix(n)
-    z = z_pool.matrix(n)
-    k_n = w.shape[1] + z.shape[1]
+    w = {"const": np.ones(n)}
+    for label, col in null_terms():
+        if label in w:
+            raise DesignError(f"duplicate column {label!r} in null design")
+        w[label] = col
+    z = {}
+    for label, col in alt_terms():
+        if label not in w:
+            z.setdefault(label, col)
+
+    k_n = len(w) + len(z)
     if n <= k_n:
         raise DesignError(f"need n > k_n (got n={n}, k_n={k_n})")
-    return DesignPair(w, z, tuple(w_pool.labels), tuple(z_pool.labels))
+    return DesignPair(np.column_stack(list(w.values())),
+                      np.column_stack(list(z.values())) if z else np.empty((n, 0)),
+                      tuple(w), tuple(z))
 
 
 def simulation_design(x1, x2, a_n: int, family: str = "power") -> DesignPair:

@@ -38,6 +38,8 @@ from serieslm.lmtest import (
 from serieslm.mc import DgpSpec, McConfig, gen_sample, run_mc
 from serieslm.regress import ols_fit, residualize_block
 
+pytestmark = pytest.mark.acceptance
+
 ACCEPT_SEED = 0
 THREADS = max(1, min(os.cpu_count() or 1, 8))
 

@@ -104,6 +104,7 @@ class TestCmdTest:
         assert payload["m_n"] == 6 and payload["k_n"] == 25
         assert 0.0 < payload["p_normal"] < 1.0
         assert payload["variant"] == "ols_short"
+        assert payload["weights_floored"] is False
 
     def test_round_trip_full_precision(self, tmp_path):
         data = write_sim_csv(tmp_path / "d.csv")
@@ -154,6 +155,25 @@ class TestCmdTest:
         assert captured.out == ""
         assert "bootstrap" in captured.err
         assert not out.exists()
+
+    @pytest.mark.parametrize("extra,flags", [
+        ({"alpha": 0.05}, []),
+        ({"model": []}, []),
+        ({"model": {"linear_vars": ["x1"], "alternative": "restricted_tensor"}}, []),
+        ({"bootstrap": [1]}, []),
+        ({"model": {"linear_vars": ["x1"],
+                    "alternative": {"recipe": "custom", "custom_terms": [5]}}}, []),
+        ({}, ["--bootstrap", "-5"]),
+    ], ids=["alpha-scalar", "model-list", "alternative-string", "bootstrap-list",
+            "custom-term-number", "negative-bootstrap-flag"])
+    def test_malformed_config_is_input_error(self, tmp_path, capsys, extra, flags):
+        data = write_sim_csv(tmp_path / "d.csv")
+        cfg = sim_config(tmp_path / "c.json", **extra)
+        code = main(["test", "--data", str(data), "--config", str(cfg)] + flags)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "input error" in captured.err
+        assert captured.out == ""
 
     def test_missing_column_is_input_error(self, tmp_path):
         data = tmp_path / "d.csv"

@@ -17,6 +17,12 @@ from serieslm.errors import DesignError, RankDeficiencyError
 
 TERM_COUNTS = {4: (5, 16, 11), 5: (6, 25, 19), 6: (7, 27, 20),
                7: (8, 29, 21), 8: (9, 40, 31), 9: (10, 53, 43)}
+# restricted interaction order a_bar = max(min(a, 5), floor(a^0.9))
+A_BAR = {4: 4, 5: 5, 6: 5, 7: 5, 8: 6, 9: 7}
+
+
+def _monomial(var, p):
+    return var if p == 1 else f"{var}^{p}"
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +58,25 @@ class TestSimulationDesign:
             coef, *_ = np.linalg.lstsq(basis, target, rcond=None)
             resid = target - basis @ coef
             assert np.max(np.abs(resid)) < 1e-8
+
+    @pytest.mark.parametrize("a_n", sorted(A_BAR))
+    def test_power_columns_in_order(self, xy, a_n):
+        # oracle built from monomials: W = [1, x1, x2..x2^(a-1)], then
+        # Z = [x1^2..x1^(a-1)] + [x1^i x2^j, i outer, j inner, 1 <= i, j < a_bar]
+        x1, x2 = xy
+        pows = range(2, a_n)
+        inter = [(i, j) for i in range(1, A_BAR[a_n]) for j in range(1, A_BAR[a_n])]
+        w_labels = ("const", "x1", "x2") + tuple(f"x2^{p}" for p in pows)
+        z_labels = (tuple(f"x1^{p}" for p in pows)
+                    + tuple(f"{_monomial('x1', i)}*{_monomial('x2', j)}" for i, j in inter))
+        w = np.column_stack([np.ones_like(x1), x1] + [x2 ** p for p in range(1, a_n)])
+        z = np.column_stack([x1 ** p for p in pows]
+                            + [x1 ** i * x2 ** j for i, j in inter])
+        pair = simulation_design(x1, x2, a_n, "power")
+        assert pair.w_labels == w_labels
+        assert pair.z_labels == z_labels
+        np.testing.assert_allclose(pair.w, w, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(pair.z, z, rtol=1e-13, atol=0)
 
     def test_deterministic_labels(self, xy):
         p1 = simulation_design(*xy, 5)
@@ -121,6 +146,20 @@ class TestBuildPartiallyLinear:
         pair = build_partially_linear({"x1": x1, "x2": x2}, spec)
         assert pair.z_labels == ("x1^2", "x1*x2")
         np.testing.assert_allclose(pair.z[:, 1], x1 * x2)
+
+    def test_custom_terms_dedup_against_series_columns(self, xy):
+        # "x2^2" is a column of the null's series; the last two terms are one
+        # product written in two factor orders
+        x1, x2 = xy
+        spec = ModelSpec(
+            linear_vars=("x1",),
+            series_vars=(("x2", BasisSpec("power", 4)),),
+            alternative=AlternativeSpec(
+                recipe="custom", custom_terms=("x2^2", "x2^3*x1", "x1*x2^3")),
+        )
+        pair = build_partially_linear({"x1": x1, "x2": x2}, spec)
+        assert pair.z_labels == ("x1*x2^3",)
+        np.testing.assert_allclose(pair.z[:, 0], x1 * x2 ** 3)
 
     def test_missing_variable(self, xy):
         spec = ModelSpec(
