@@ -95,24 +95,50 @@ def load_csv(path) -> Dataset:
     return Dataset(columns=cols, n=n, source=str(path))
 
 
+# The `test` config, one table per JSON object: key -> (JSON type, default).
+# A float key also takes an integer; a boolean is never a number.
+_CONFIG = {"y": (str, None), "model": (dict, None), "variant": (str, "ols_short"),
+           "alpha": (list, [0.05]), "bootstrap": (dict, {}), "tuning": (dict, {}),
+           "rescale": (bool, False), "seed": (int, 0)}
+_BOOTSTRAP = {"enabled": (bool, False), "draws": (int, 399), "dist": (str, "rademacher")}
+_TUNING = {"enabled": (bool, False), "a_min": (int, 4), "a_max": (int, 8),
+           "criterion": (str, "cp"), "c": (float, 3.0)}
+_JSON_TYPE = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+              float: "a number", bool: "a boolean", type(None): "null"}
+
+
+def _is(value, kind: type) -> bool:
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _checked(section: dict, schema: dict, prefix: str = "") -> dict:
+    """``section`` with every ``schema`` key type-checked or filled with its default."""
+    unknown = [repr(prefix + key) for key in section if key not in schema]
+    if unknown:
+        raise InputError(f"unknown config key(s): {', '.join(unknown)}")
+    out = {}
+    for key, (kind, default) in schema.items():
+        value = section.get(key, default)
+        if key in section and not _is(value, kind):
+            raise InputError(f"config key {prefix + key!r} must be {_JSON_TYPE[kind]}, "
+                             f"not {_JSON_TYPE[type(value)]}")
+        out[key] = float(value) if kind is float else value
+    return out
+
+
 def _load_config(path) -> dict:
-    if path is None:
-        return {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot open config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"config {path} is not valid JSON: {exc}") from exc
-
-
-def _config_value(cfg: dict, key: str, kind: type, default):
-    value = cfg.get(key, default)
-    if not isinstance(value, kind):
-        raise InputError(f"config {key!r} must be a {kind.__name__}, "
-                         f"not {type(value).__name__}")
-    return kind(value)
+    if not isinstance(cfg, dict):
+        raise InputError(f"config {path} must be a JSON object, not {_JSON_TYPE[type(cfg)]}")
+    return _checked(cfg, _CONFIG)
 
 
 def _rescale_columns(dataset: Dataset, names) -> Dataset:
@@ -142,56 +168,58 @@ def _write_json(path, payload):
 
 def cmd_test(args) -> int:
     cfg = _load_config(args.config)
-    if "model" not in cfg:
+    boot = _checked(cfg["bootstrap"], _BOOTSTRAP, "bootstrap.")
+    tune = _checked(cfg["tuning"], _TUNING, "tuning.")
+    if cfg["model"] is None:
         raise InputError("config must contain a 'model' section")
     try:
         model = ModelSpec.from_dict(cfg["model"])
     except ValueError as exc:
         raise InputError(f"bad model config: {exc}") from exc
 
-    y_name = cfg.get("y", args.y)
+    # flags override the checked config; every rule below runs before the data is read
+    y_name = args.y or cfg["y"]
+    variant = args.variant or cfg["variant"]
+    levels = tuple(args.alpha or cfg["alpha"])
+    draws = boot["draws"] if args.bootstrap is None else args.bootstrap
+    bootstrap = boot["enabled"] if args.bootstrap is None else args.bootstrap != 0
+    dist = args.dist or boot["dist"]
+    seed = cfg["seed"] if args.seed is None else args.seed
     if y_name is None:
         raise InputError("name the response column via config 'y' or --y")
-    variant = args.variant or cfg.get("variant", "ols_short")
     if variant not in VARIANTS:
         raise InputError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    levels = tuple(args.alpha or _config_value(cfg, "alpha", list, [0.05]))
-    if not all(isinstance(a, (int, float)) for a in levels):
-        raise InputError("config 'alpha' must be a list of numbers")
-    boot_cfg = _config_value(cfg, "bootstrap", dict, {})
-    if args.bootstrap is not None:
-        if args.bootstrap < 0:
-            raise InputError("--bootstrap must be >= 0 (0 disables)")
-        boot_cfg["enabled"] = args.bootstrap > 0
-        boot_cfg["draws"] = args.bootstrap
-    if args.dist:
-        boot_cfg["dist"] = args.dist
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    tune_cfg = _config_value(cfg, "tuning", dict, {})
-    if boot_cfg.get("enabled", False):
-        if tune_cfg.get("enabled", False):
-            raise InputError("the wild bootstrap is not available for the data-driven "
-                             "test (tuning enabled)")
-        if variant != "ols_short":
-            raise InputError("the wild bootstrap is defined for the ols_short variant only")
+    if not all(_is(a, float) and 0.0 < a < 1.0 for a in levels):
+        raise InputError(f"alpha levels must be numbers in (0, 1), not {list(levels)}")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, not {seed}")
+    if dist not in MULTIPLIERS:
+        raise InputError(f"unknown bootstrap dist {dist!r}; expected one of {MULTIPLIERS}")
+    if bootstrap and draws < 1:
+        raise InputError(f"bootstrap draws must be >= 1 (0 disables), not {draws}")
+    if bootstrap and (tune["enabled"] or variant != "ols_short"):
+        raise InputError("the wild bootstrap is defined for the ols_short variant "
+                         "without tuning only")
+    if tune["enabled"]:
+        x1, x2, family = _canonical_pl_roles(model)
+        grid = TuningGrid(tuple(range(tune["a_min"], tune["a_max"] + 1)), tune["c"])
+        if tune["criterion"] not in CRITERIA:
+            raise InputError(f"unknown criterion {tune['criterion']!r}; "
+                             f"expected one of {CRITERIA}")
 
     dataset = load_csv(args.data)
     if y_name not in dataset:
         raise InputError(f"response column {y_name!r} not in dataset")
-    if args.rescale or cfg.get("rescale", False):
+    if args.rescale or cfg["rescale"]:
         dataset = _rescale_columns(dataset, model.variables)
 
-    if tune_cfg.get("enabled", False):
-        x1, x2, family = _canonical_pl_roles(model)
-        a_min = int(tune_cfg.get("a_min", 4))
-        a_max = int(tune_cfg.get("a_max", 8))
-        grid = TuningGrid(tuple(range(a_min, a_max + 1)), float(tune_cfg.get("c", 3.0)))
-        return _run_tuned(dataset, y_name, x1, x2, family, grid,
-                          tune_cfg.get("criterion", "cp"), levels, args.out)
+    if tune["enabled"]:
+        return _run_tuned(dataset, y_name, x1, x2, family, grid, tune["criterion"],
+                          levels, args.out)
 
     y = dataset[y_name]
     pair = build_partially_linear(dataset.columns, model)
-    pair, dropped = screen_collinear(pair, tol=float(cfg.get("screen_tol", 1e-10)))
+    pair, dropped = screen_collinear(pair)
     if pair.r_n < 1:
         raise DesignError("no alternative columns survive screening")
     result = run_test(y, pair.w, pair.z, variant=variant, levels=levels)
@@ -209,22 +237,18 @@ def cmd_test(args) -> int:
         print(f"alpha = {a:g}: normal rule -> {nr}; chi-square rule -> {cr}")
 
     boot_payload = None
-    if boot_cfg.get("enabled", False):
-        boot = wild_bootstrap(
-            result.extras["fit"], result.extras["z_resid"], result.t,
-            n_draws=int(boot_cfg.get("draws", 399)),
-            dist=boot_cfg.get("dist", "rademacher"),
-            seed=seed, levels=levels)
+    if bootstrap:
+        star = wild_bootstrap(result.extras["fit"], result.extras["z_resid"], result.t,
+                              n_draws=draws, dist=dist, seed=seed, levels=levels)
         boot_payload = {
-            "p_value": boot.p_value,
-            "n_draws": boot.n_draws,
-            "n_failed": boot.n_failed,
-            "dist": boot_cfg.get("dist", "rademacher"),
-            "critical_values": {repr(a): v for a, v in boot.critical_values.items()},
-            "reject": {repr(a): boot.reject(a) for a in levels},
+            "p_value": star.p_value,
+            "n_draws": star.n_draws,
+            "n_failed": star.n_failed,
+            "dist": dist,
+            "critical_values": {repr(a): v for a, v in star.critical_values.items()},
+            "reject": {repr(a): star.reject(a) for a in levels},
         }
-        print(f"bootstrap (B = {boot.n_draws}, {boot_payload['dist']}): "
-              f"p = {_fmt(boot.p_value)}")
+        print(f"bootstrap (B = {star.n_draws}, {dist}): p = {_fmt(star.p_value)}")
 
     _write_json(args.out, {
         "command": "test",
@@ -390,9 +414,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    from ._malloc import prefer_heap_reuse
-
-    prefer_heap_reuse()
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -132,6 +132,8 @@ class McConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise ValueError("need at least one replication")
+        if self.threads < 1:
+            raise ValueError(f"threads must be >= 1, not {self.threads}")
         for v in self.variants:
             if v not in MC_VARIANTS:
                 raise ValueError(f"unknown variant {v!r}; known: {MC_VARIANTS}")
@@ -181,21 +183,21 @@ class McReport:
     def to_csv(self) -> str:
         return "\n".join([CSV_HEADER] + [row.csv_line() for row in self.rows]) + "\n"
 
+    def _row(self, *key) -> McRow:
+        """The first row keyed (variant, family, n, a_n, hypothesis[, alpha])."""
+        for row in self.rows:
+            if (row.variant, row.family, row.n, row.a_n, row.hypothesis,
+                    row.alpha)[:len(key)] == key:
+                return row
+        raise KeyError(key)
+
     def rate(self, variant: str, family: str, n: int, a_n: int,
              hypothesis: str, alpha: float = 0.05) -> float:
-        for row in self.rows:
-            if (row.variant, row.family, row.n, row.a_n, row.hypothesis) == \
-                    (variant, family, n, a_n, hypothesis) and row.alpha == alpha:
-                return row.reject_rate
-        raise KeyError((variant, family, n, a_n, hypothesis, alpha))
+        return self._row(variant, family, n, a_n, hypothesis, alpha).reject_rate
 
     def mean_statistic(self, variant: str, family: str, n: int, a_n: int,
                        hypothesis: str) -> float:
-        for row in self.rows:
-            if (row.variant, row.family, row.n, row.a_n, row.hypothesis) == \
-                    (variant, family, n, a_n, hypothesis):
-                return row.mean_statistic
-        raise KeyError((variant, family, n, a_n, hypothesis))
+        return self._row(variant, family, n, a_n, hypothesis).mean_statistic
 
 
 class _CellFailure(SeriesLMError):

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from serieslm import cli
 from serieslm.cli import Dataset, load_csv, main
 from serieslm.errors import InputError
 from serieslm.mc import DgpSpec, gen_sample
@@ -164,16 +165,59 @@ class TestCmdTest:
         ({"model": {"linear_vars": ["x1"],
                     "alternative": {"recipe": "custom", "custom_terms": [5]}}}, []),
         ({}, ["--bootstrap", "-5"]),
+        ({"seed": [1]}, []),
+        ({"screen_tol": [1]}, []),
+        ({"tuning": {"enabled": True, "a_min": [4]}}, []),
+        ({"bootstrap": {"enabled": True, "draws": [19]}}, []),
+        (5, []),
+        ({"tuning": {"enabled": "false"}}, []),
+        ({"bootstrap": {"enabled": "false"}}, []),
+        ({"rescale": "false"}, []),
+        ({"bootstrap": {"enabled": True, "draws": 0}}, []),
+        ({"bootstrap": {"enabled": True, "dist": "normal"}}, []),
+        ({"seed": -1, "bootstrap": {"enabled": True}}, []),
+        ({"alpah": [0.1]}, []),
     ], ids=["alpha-scalar", "model-list", "alternative-string", "bootstrap-list",
-            "custom-term-number", "negative-bootstrap-flag"])
-    def test_malformed_config_is_input_error(self, tmp_path, capsys, extra, flags):
+            "custom-term-number", "negative-bootstrap-flag", "seed-list",
+            "screen-tol", "tuning-a-min-list", "bootstrap-draws-list", "bare-number",
+            "tuning-enabled-string", "bootstrap-enabled-string", "rescale-string",
+            "bootstrap-zero-draws", "bootstrap-dist-normal", "negative-seed",
+            "misspelled-key"])
+    def test_malformed_config_is_input_error(self, tmp_path, capsys, monkeypatch,
+                                             extra, flags):
         data = write_sim_csv(tmp_path / "d.csv")
-        cfg = sim_config(tmp_path / "c.json", **extra)
-        code = main(["test", "--data", str(data), "--config", str(cfg)] + flags)
+        cfg = tmp_path / "c.json"
+        if isinstance(extra, dict):
+            sim_config(cfg, **extra)
+        else:  # a config whose JSON is not an object
+            cfg.write_text(json.dumps(extra))
+        loaded = []
+        monkeypatch.setattr(cli, "load_csv", lambda path: loaded.append(path))
+        out = tmp_path / "res.json"
+        code = main(["test", "--data", str(data), "--config", str(cfg),
+                     "--out", str(out)] + flags)
         captured = capsys.readouterr()
         assert code == 2
         assert "input error" in captured.err
         assert captured.out == ""
+        assert loaded == [] and not out.exists()
+
+    def test_flags_override_config(self, tmp_path):
+        data = write_sim_csv(tmp_path / "d.csv")
+        cfg = sim_config(tmp_path / "c.json", y="x1", alpha=[0.1], seed=17,
+                         bootstrap={"enabled": True, "draws": 19})
+        out = tmp_path / "res.json"
+        assert main(["test", "--data", str(data), "--config", str(cfg),
+                     "--bootstrap", "0", "--seed", "5", "--alpha", "0.01",
+                     "--y", "y", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["bootstrap"] is None
+        assert payload["seed"] == 5
+        assert list(payload["reject_normal"]) == ["0.01"]
+        plain = tmp_path / "plain.json"
+        assert main(["test", "--data", str(data), "--config",
+                     str(sim_config(tmp_path / "p.json")), "--out", str(plain)]) == 0
+        assert payload["statistic"] == json.loads(plain.read_text())["statistic"]
 
     def test_missing_column_is_input_error(self, tmp_path):
         data = tmp_path / "d.csv"
@@ -317,6 +361,12 @@ class TestCmdSimulate:
     def test_bad_variant_is_input_error(self, tmp_path):
         assert main(["simulate", "--reps", "2", "--variants", "nope",
                      "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_is_input_error(self, tmp_path, threads):
+        assert main(["simulate", "--reps", "2", "--threads", threads,
+                     "--out", str(tmp_path / "x")]) == 2
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestHelp:

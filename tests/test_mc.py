@@ -120,6 +120,21 @@ class TestRunMc:
         assert np.isfinite(report.mean_statistic("ols_short", "power", 120, 4,
                                                  "null"))
 
+    def test_report_lookup_and_missing_keys(self):
+        rows = tuple(McRow("ols_short", "power", 120, 4, "null", alpha, rate, 0.0,
+                           20, 31, mean_statistic=7.5)
+                     for alpha, rate in ((0.05, 0.25), (0.1, 0.5)))
+        report = McReport(rows=rows, config=tiny_config())
+        assert report.rate("ols_short", "power", 120, 4, "null") == 0.25
+        assert report.rate("ols_short", "power", 120, 4, "null", 0.1) == 0.5
+        assert report.mean_statistic("ols_short", "power", 120, 4, "null") == 7.5
+        with pytest.raises(KeyError) as exc:
+            report.rate("ols_short", "power", 120, 4, "null", 0.01)
+        assert exc.value.args == (("ols_short", "power", 120, 4, "null", 0.01),)
+        with pytest.raises(KeyError) as exc:
+            report.mean_statistic("ols_short", "power", 120, 5, "null")
+        assert exc.value.args == (("ols_short", "power", 120, 5, "null"),)
+
 
 class TestVariantTable:
     def test_every_fixed_variant_is_its_run_test_statistic(self):
