@@ -1,0 +1,61 @@
+"""Thread count of scipy's LAPACK, pinned to one thread while the Monte Carlo runs.
+
+scipy's wheels link ``scipy.linalg._flapack`` against their own OpenBLAS,
+which serves the QR, Cholesky and triangular solves of every replication.
+Its default of one thread per core oversubscribes the machine once cells run
+in worker processes, and a replication's small matrices gain nothing from
+threading; pinning it leaves every output bitwise unchanged.  numpy's
+separate OpenBLAS build is left alone: pinning it moves the statistics'
+low bits.  The thread functions are looked up through the extension module,
+so the dynamic linker finds them in whichever OpenBLAS it loaded; a scipy
+built on another LAPACK exports none, and the pin then does nothing.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import ctypes
+
+
+def _thread_functions():
+    """(get, set) for the thread count of scipy's OpenBLAS, or None when absent."""
+    from scipy.linalg import _flapack
+
+    lib = ctypes.CDLL(_flapack.__file__)
+    try:
+        get_threads = lib.scipy_openblas_get_num_threads
+        set_threads = lib.scipy_openblas_set_num_threads
+    except AttributeError:
+        return None
+    get_threads.argtypes = []
+    get_threads.restype = ctypes.c_int
+    set_threads.argtypes = [ctypes.c_int]
+    set_threads.restype = None
+    return get_threads, set_threads
+
+
+@contextlib.contextmanager
+def single_threaded_lapack():
+    """Run the body with scipy's LAPACK on one thread, then restore the previous count.
+
+    Yields True when the pin is in place and False when scipy's LAPACK
+    exports no thread control, in which case nothing is changed.
+    """
+    functions = _thread_functions()
+    if functions is None:
+        yield False
+        return
+    get_threads, set_threads = functions
+    previous = get_threads()
+    set_threads(1)
+    try:
+        yield True
+    finally:
+        set_threads(previous)
+
+
+def pin_worker_lapack():
+    """Process-pool initializer: one LAPACK thread for the life of the worker."""
+    functions = _thread_functions()
+    if functions is not None:
+        functions[1](1)

@@ -38,6 +38,13 @@ __all__ = [
 ]
 
 RECIPES = ("full_tensor", "restricted_tensor", "additive_only", "custom")
+# The keys of the JSON model object (``ModelSpec.from_dict``), one tuple per level.
+_MODEL_KEYS = ("linear_vars", "series_vars", "alternative")
+_ALTERNATIVE_KEYS = ("recipe", "basis", "custom_terms")
+_BASIS_KEYS = ("var", "family", "a", "spline_order")
+# Fewest univariate terms a_n the simulation design accepts; the data-driven
+# tuning grids, which build that design for every candidate, share it.
+SIMULATION_A_MIN = 4
 
 
 @dataclass(frozen=True)
@@ -120,19 +127,31 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
-        def _spec(entry):
-            return (entry["var"],
-                    BasisSpec(entry.get("family", "power"), int(entry["a"]),
-                              int(entry.get("spline_order", 3))))
+        """The spec of a JSON ``model`` object; an unknown key anywhere is an error naming it."""
+        def _section(obj, keys, where):
+            if not isinstance(obj, dict):
+                raise TypeError(f"{where.rstrip('.') or 'model'} must be an object")
+            unknown = [repr(where + key) for key in obj if key not in keys]
+            if unknown:
+                raise ValueError(f"unknown model key(s): {', '.join(unknown)}")
+            return obj
+
+        def _specs(entries, where):
+            for i, entry in enumerate(entries):
+                _section(entry, _BASIS_KEYS, f"{where}[{i}].")
+                yield (entry["var"],
+                       BasisSpec(entry.get("family", "power"), int(entry["a"]),
+                                 int(entry.get("spline_order", 3))))
 
         try:
-            alt = d.get("alternative", {})
+            _section(d, _MODEL_KEYS, "")
+            alt = _section(d.get("alternative", {}), _ALTERNATIVE_KEYS, "alternative.")
             return cls(
                 linear_vars=tuple(d.get("linear_vars", ())),
-                series_vars=tuple(_spec(e) for e in d.get("series_vars", ())),
+                series_vars=tuple(_specs(d.get("series_vars", ()), "series_vars")),
                 alternative=AlternativeSpec(
                     recipe=alt.get("recipe", "restricted_tensor"),
-                    basis=tuple(_spec(e) for e in alt.get("basis", ())),
+                    basis=tuple(_specs(alt.get("basis", ()), "alternative.basis")),
                     custom_terms=tuple(alt.get("custom_terms", ())),
                 ),
             )
@@ -289,8 +308,8 @@ def simulation_design(x1, x2, a_n: int, family: str = "power") -> DesignPair:
     terms of x1 and all pairwise interactions of the constant-free restricted
     bases, so k_n = 2 a_n - 1 + (a_bar - 1)^2.
     """
-    if a_n < 4:
-        raise ValueError("simulation design needs a_n >= 4")
+    if a_n < SIMULATION_A_MIN:
+        raise ValueError(f"simulation design needs a_n >= {SIMULATION_A_MIN}")
     bspec = BasisSpec(family, a_n)
     spec = ModelSpec(
         linear_vars=("x1",),

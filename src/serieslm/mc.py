@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import pin_worker_lapack, single_threaded_lapack
 from .bootstrap import wild_bootstrap
 from .design import simulation_design
 from .distributions import normal_quantile
@@ -309,7 +310,10 @@ def run_mc(config: McConfig) -> McReport:
 
     Cells are independent and may run in separate processes
     (``config.threads``); aggregation order is fixed by the cell enumeration,
-    so the report is identical for any thread count.
+    so the report is identical for any thread count.  scipy's LAPACK runs on
+    one thread in this process and in every worker for the duration of the
+    run (see ``_blas``); the caller's thread count is restored on return,
+    also when a cell raises.
     """
     fixed = tuple(v for v in config.variants if v in FIXED_VARIANTS)
     grids = tuple(v for v in config.variants if v in GRID_VARIANTS)
@@ -324,11 +328,13 @@ def run_mc(config: McConfig) -> McReport:
                 if grids:
                     jobs.append((config, family, n, 0, hyp, grids))
 
-    if config.threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
-            chunks = list(pool.map(_run_cell, *zip(*jobs)))
-    else:
-        chunks = [_run_cell(*job) for job in jobs]
+    with single_threaded_lapack():
+        if config.threads > 1 and len(jobs) > 1:
+            with ProcessPoolExecutor(max_workers=config.threads,
+                                     initializer=pin_worker_lapack) as pool:
+                chunks = list(pool.map(_run_cell, *zip(*jobs)))
+        else:
+            chunks = [_run_cell(*job) for job in jobs]
 
     rows = tuple(row for chunk in chunks for row in chunk)
     return McReport(rows=rows, config=config)

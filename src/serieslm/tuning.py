@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design import simulation_design
+from .design import SIMULATION_A_MIN, simulation_design
 from .lmtest import VarianceWeights, chisq_rule, lm_statistic
 from .regress import ols_fit, residualize_block
 
@@ -47,6 +47,9 @@ class TuningGrid:
             raise ValueError("tuning grid is empty")
         if any(b <= a for a, b in zip(cand, cand[1:])):
             raise ValueError("grid candidates must be strictly increasing")
+        if cand[0] < SIMULATION_A_MIN:
+            raise ValueError(f"grid candidates must be >= {SIMULATION_A_MIN}, "
+                             f"not {cand[0]}")
         if self.c < 1.0:
             raise ValueError("penalty constant c must be >= 1")
         object.__setattr__(self, "candidates", cand)

@@ -177,12 +177,13 @@ class TestCmdTest:
         ({"bootstrap": {"enabled": True, "dist": "normal"}}, []),
         ({"seed": -1, "bootstrap": {"enabled": True}}, []),
         ({"alpah": [0.1]}, []),
+        ({"tuning": {"enabled": True, "a_min": 0}}, []),
     ], ids=["alpha-scalar", "model-list", "alternative-string", "bootstrap-list",
             "custom-term-number", "negative-bootstrap-flag", "seed-list",
             "screen-tol", "tuning-a-min-list", "bootstrap-draws-list", "bare-number",
             "tuning-enabled-string", "bootstrap-enabled-string", "rescale-string",
             "bootstrap-zero-draws", "bootstrap-dist-normal", "negative-seed",
-            "misspelled-key"])
+            "misspelled-key", "tuning-a-min-zero"])
     def test_malformed_config_is_input_error(self, tmp_path, capsys, monkeypatch,
                                              extra, flags):
         data = write_sim_csv(tmp_path / "d.csv")
@@ -201,6 +202,27 @@ class TestCmdTest:
         assert "input error" in captured.err
         assert captured.out == ""
         assert loaded == [] and not out.exists()
+
+    @pytest.mark.parametrize("edit,name", [
+        (lambda m: m.update(linear_var=m.pop("linear_vars")), "'linear_var'"),
+        (lambda m: m["series_vars"][0].update(famly=m["series_vars"][0].pop("family")),
+         "'series_vars[0].famly'"),
+    ], ids=["linear_var", "famly"])
+    def test_unknown_model_key_rejected_before_data(self, tmp_path, capsys,
+                                                    monkeypatch, edit, name):
+        # a misspelled model key used to drop its variables silently and exit 0
+        cfg_path = sim_config(tmp_path / "c.json")
+        cfg = json.loads(cfg_path.read_text())
+        edit(cfg["model"])
+        cfg_path.write_text(json.dumps(cfg))
+        loaded = []
+        monkeypatch.setattr(cli, "load_csv", lambda path: loaded.append(path))
+        code = main(["test", "--data", str(tmp_path / "d.csv"),
+                     "--config", str(cfg_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"unknown model key(s): {name}" in captured.err
+        assert captured.out == "" and loaded == []
 
     def test_flags_override_config(self, tmp_path):
         data = write_sim_csv(tmp_path / "d.csv")
@@ -335,6 +357,17 @@ class TestCmdTune:
         assert "'x2' not in dataset" in capsys.readouterr().err
         assert main(["tune", "--data", str(data), "--y", "y", "--x1", "x1",
                      "--x2", "x2"]) == 2
+
+
+    def test_a_min_below_design_minimum_rejected_before_data(
+            self, tmp_path, capsys, monkeypatch):
+        loaded = []
+        monkeypatch.setattr(cli, "load_csv", lambda path: loaded.append(path))
+        code = main(["tune", "--data", str(tmp_path / "d.csv"), "--y", "y",
+                     "--x1", "x1", "--x2", "x2", "--a-min", "2"])
+        assert code == 2
+        assert "grid candidates must be >= 4" in capsys.readouterr().err
+        assert loaded == []
 
 
 class TestCmdSimulate:

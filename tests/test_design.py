@@ -1,5 +1,7 @@
 """Design assembly: term-count progressions, recipes, collinearity screening."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,26 @@ class TestBuildPartiallyLinear:
                 basis=(("p", BasisSpec("power", 5)), ("q", BasisSpec("spline", 6)))),
         )
         assert ModelSpec.from_dict(spec.to_dict()) == spec
+
+    @pytest.mark.parametrize("edit,name", [
+        (lambda d: d.update(linear_var=d.pop("linear_vars")), "'linear_var'"),
+        (lambda d: d["series_vars"][0].update(famly="spline"), "'series_vars[0].famly'"),
+        (lambda d: d["alternative"].update(recipie="custom"), "'alternative.recipie'"),
+        (lambda d: d["alternative"]["basis"][1].update(order=3),
+         "'alternative.basis[1].order'"),
+    ], ids=["model", "series-entry", "alternative", "basis-entry"])
+    def test_from_dict_names_unknown_keys(self, edit, name):
+        spec = ModelSpec(
+            linear_vars=("p",),
+            series_vars=(("q", BasisSpec("power", 5)),),
+            alternative=AlternativeSpec(
+                recipe="restricted_tensor",
+                basis=(("p", BasisSpec("power", 5)), ("q", BasisSpec("power", 5)))),
+        )
+        d = spec.to_dict()
+        edit(d)
+        with pytest.raises(ValueError, match=re.escape(f"unknown model key(s): {name}")):
+            ModelSpec.from_dict(d)
 
 
 class TestParseTerm:

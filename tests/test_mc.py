@@ -1,11 +1,13 @@
-"""DGP formulas, harness reproducibility, report emission."""
+"""DGP formulas, harness reproducibility, report emission, LAPACK thread pin."""
 
+import contextlib
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from serieslm import _blas, mc
 from serieslm.design import simulation_design
 from serieslm.lmtest import run_test
 from serieslm.mc import (
@@ -13,6 +15,7 @@ from serieslm.mc import (
     DgpSpec,
     McConfig,
     McReport,
+    MC_VARIANTS,
     McRow,
     emit_report,
     gen_sample,
@@ -84,11 +87,14 @@ def tiny_config(**kwargs):
 
 class TestRunMc:
     def test_deterministic_across_runs_and_threads(self):
+        # the CSV holds only rates, so the mean statistics are compared too:
+        # they show a low-bit drift that leaves every rejection unchanged
         cfg = tiny_config()
-        csv1 = run_mc(cfg).to_csv()
-        csv2 = run_mc(cfg).to_csv()
-        csv3 = run_mc(tiny_config(threads=2)).to_csv()
+        reports = [run_mc(cfg), run_mc(cfg), run_mc(tiny_config(threads=2))]
+        csv1, csv2, csv3 = (report.to_csv() for report in reports)
         assert csv1 == csv2 == csv3
+        means = [[row.mean_statistic for row in report.rows] for report in reports]
+        assert means[0] == means[1] == means[2]
 
     def test_rates_are_frequencies(self):
         report = run_mc(tiny_config())
@@ -134,6 +140,83 @@ class TestRunMc:
         with pytest.raises(KeyError) as exc:
             report.mean_statistic("ols_short", "power", 120, 5, "null")
         assert exc.value.args == (("ols_short", "power", 120, 5, "null"),)
+
+
+@pytest.fixture
+def lapack_threads():
+    """scipy's LAPACK thread functions, with the count set to 3 for the test."""
+    functions = _blas._thread_functions()
+    if functions is None:
+        pytest.skip("scipy's LAPACK exports no OpenBLAS thread control")
+    get_threads, set_threads = functions
+    before = get_threads()
+    set_threads(3)
+    yield get_threads
+    set_threads(before)
+
+
+def every_variant_config(**kwargs):
+    # n=1000 with a_n = 8, 9 reaches matrix sizes where OpenBLAS threads its
+    # kernels: pinning numpy's BLAS as well moves 46 of these mean statistics
+    return McConfig(replications=3, n_values=(150, 1000), a_values=(8, 9),
+                    families=("power", "spline"), variants=MC_VARIANTS,
+                    seed=13, bootstrap_draws=19, **kwargs)
+
+
+@pytest.fixture(scope="module")
+def pinned_report():
+    return run_mc(every_variant_config())
+
+
+def assert_same_rows(report, expected):
+    assert [row.csv_line() for row in report.rows] == \
+        [row.csv_line() for row in expected.rows]
+    assert [row.mean_statistic for row in report.rows] == \
+        [row.mean_statistic for row in expected.rows]
+
+
+class TestLapackPin:
+    def test_one_thread_during_the_run(self, lapack_threads, monkeypatch):
+        seen = []
+        run_cell = mc._run_cell
+
+        def recording_run_cell(*args):
+            seen.append(lapack_threads())
+            return run_cell(*args)
+
+        monkeypatch.setattr(mc, "_run_cell", recording_run_cell)
+        run_mc(tiny_config(replications=2))
+        assert seen == [1, 1]
+        assert lapack_threads() == 3
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_count_restored_after_run(self, lapack_threads, threads):
+        run_mc(tiny_config(replications=2, threads=threads))
+        assert lapack_threads() == 3
+
+    def test_count_restored_after_failed_run(self, lapack_threads):
+        with pytest.raises(ValueError, match="a_n >= 4"):
+            run_mc(tiny_config(replications=2, a_values=(3,)))
+        assert lapack_threads() == 3
+
+    def test_worker_initializer_pins(self, lapack_threads):
+        _blas.pin_worker_lapack()
+        assert lapack_threads() == 1
+
+    def test_unpinned_run_is_bitwise_equal(self, lapack_threads, monkeypatch,
+                                           pinned_report):
+        monkeypatch.setattr(mc, "single_threaded_lapack", contextlib.nullcontext)
+        assert {row.variant for row in pinned_report.rows} == set(MC_VARIANTS)
+        assert_same_rows(run_mc(every_variant_config()), pinned_report)
+
+    def test_missing_symbols_run_unpinned(self, lapack_threads, monkeypatch,
+                                          pinned_report):
+        monkeypatch.setattr(_blas, "_thread_functions", lambda: None)
+        with _blas.single_threaded_lapack() as pinned:
+            assert pinned is False
+            assert lapack_threads() == 3
+        assert_same_rows(run_mc(every_variant_config()), pinned_report)
+        assert lapack_threads() == 3
 
 
 class TestVariantTable:

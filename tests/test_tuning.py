@@ -132,6 +132,11 @@ class TestTuningGrid:
         with pytest.raises(ValueError):
             TuningGrid((4, 5), c=0.5)
 
+    @pytest.mark.parametrize("candidates", [(3, 4, 5), (0,), (-2, 4)])
+    def test_candidates_below_the_design_minimum(self, candidates):
+        with pytest.raises(ValueError, match=">= 4"):
+            TuningGrid(candidates)
+
 
 class TestDataDrivenTest:
     def test_singleton_grid_equals_chisq_rule(self):
