@@ -1,14 +1,18 @@
-"""Thread count of scipy's LAPACK, pinned to one thread while the Monte Carlo runs.
+"""Thread count of scipy's LAPACK, pinned to one thread while a command runs.
 
 scipy's wheels link ``scipy.linalg._flapack`` against their own OpenBLAS,
-which serves the QR, Cholesky and triangular solves of every replication.
-Its default of one thread per core oversubscribes the machine once cells run
-in worker processes, and a replication's small matrices gain nothing from
-threading; pinning it leaves every output bitwise unchanged.  numpy's
-separate OpenBLAS build is left alone: pinning it moves the statistics'
-low bits.  The thread functions are looked up through the extension module,
-so the dynamic linker finds them in whichever OpenBLAS it loaded; a scipy
-built on another LAPACK exports none, and the pin then does nothing.
+which serves the QR, Cholesky and triangular solves.  Its default of one
+thread per core oversubscribes the machine once Monte Carlo cells run in
+worker processes, and the small matrices of one test or replication gain
+nothing from threading; pinning it leaves every output bitwise unchanged.
+``cli.main`` holds the pin around every command, and ``run_mc`` takes it
+again (with a pool initializer for its workers) for library callers; a nested
+pin is harmless, because each level restores the count it found.  Library
+calls outside ``run_mc`` keep the process's own setting.  numpy's separate
+OpenBLAS build is left alone: pinning it moves the statistics' low bits.
+The thread functions are looked up through the extension module, so the
+dynamic linker finds them in whichever OpenBLAS it loaded; a scipy built on
+another LAPACK exports none, and the pin then does nothing.
 """
 
 from __future__ import annotations

@@ -4,11 +4,17 @@ Each draw multiplies the restricted residuals by an i.i.d. mean-zero,
 unit-variance two-point variable (Rademacher or Mammen), re-applies the
 annihilator of the null design to the synthetic errors (no refitting is
 needed: the bootstrap residuals equal M_W eps* exactly), and recomputes the
-statistic with ``lm_statistic``, weighted by the draw's own squared
-residuals under the same floor as the observed statistic.  Draw b uses the
-substream ``SeedSequence(seed, spawn_key=(b,))`` of a Philox counter-based
-generator, so results are reproducible independently of how draws are
-partitioned across workers.
+statistic of ``lm_statistic``, weighted by the draw's own squared residuals
+under the same floor as the observed statistic.  Draw b uses the substream
+``SeedSequence(seed, spawn_key=(b,))`` of a Philox counter-based generator,
+so results are reproducible independently of how draws are partitioned.
+
+The draws run in blocks of ``_BLOCK``.  A block's synthetic errors are
+annihilated as one n x block matrix, its scores Zt'e* come from one product,
+and the squared residuals are floored per column.  The upper triangles of
+all the block's inner matrices Zt' diag(e*^2) Zt are built together, one row
+slice at a time; each draw is then factored on its own, so a singular draw
+costs only its own statistic (NaN).
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularMomentMatrixError
-from .lmtest import VarianceWeights, lm_statistic, standardize
+from .lmtest import _quadform, floored_squares, standardize
 from .regress import FitResult, annihilate
 
 __all__ = ["MULTIPLIERS", "draw_multipliers", "wild_bootstrap", "BootstrapResult"]
@@ -34,6 +40,9 @@ MULTIPLIERS = ("rademacher", "mammen")
 # Draws with a singular inner matrix are skipped; more than this fraction
 # aborts the run.
 MAX_FAILURE_FRAC = 0.01
+
+# Draws per block; a block holds 4 r (r + 1) + 16 n bytes per draw.
+_BLOCK = 64
 
 
 def draw_multipliers(dist: str, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -65,17 +74,39 @@ class BootstrapResult:
         return self.p_value <= level
 
 
-def _draw_statistic(fit: FitResult, z_resid, dist, seed, b, r_n):
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(
-        seed, spawn_key=(b,))))
-    v = draw_multipliers(dist, fit.n_obs, rng)
-    resid_star = annihilate(fit, v * fit.residuals)
-    try:
-        stat = lm_statistic(resid_star, z_resid,
-                            VarianceWeights.from_residuals(resid_star))
-    except SingularMomentMatrixError:
-        return math.nan
-    return standardize(stat, r_n)
+def _block_statistics(fit: FitResult, zt: np.ndarray, dist: str, seed: int,
+                      draws: range) -> np.ndarray:
+    """Standardized statistics of the given draws, NaN where the inner matrix is singular."""
+    n, r_n = zt.shape
+    e = np.empty((n, len(draws)))
+    for j, b in enumerate(draws):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(
+            seed, spawn_key=(b,))))
+        e[:, j] = draw_multipliers(dist, n, rng)
+    e *= fit.residuals[:, None]
+    e = annihilate(fit, e)
+    u = zt.T @ e
+    s = floored_squares(e)[0].T
+    del e
+    # each draw's Zt' diag(s_b) Zt as its upper triangle packed row by row,
+    # one row slice of every draw per product
+    upper = np.triu_indices(r_n)
+    packed = np.empty((len(draws), upper[0].size))
+    start = 0
+    for i in range(r_n):
+        packed[:, start:start + r_n - i] = (s * zt[:, i]) @ zt[:, i:]
+        start += r_n - i
+    inner = np.zeros((r_n, r_n))
+    t_star = np.empty(len(draws))
+    for j in range(len(draws)):
+        inner[upper] = packed[j]
+        try:
+            # the transpose hands the filled triangle to the lower Cholesky factor
+            stat = _quadform(inner.T, u[:, j], "restriction moment matrix")
+        except SingularMomentMatrixError:
+            stat = math.nan
+        t_star[j] = standardize(stat, r_n)
+    return t_star
 
 
 def wild_bootstrap(fit: FitResult, z_resid, t_observed: float, n_draws: int = 399,
@@ -108,9 +139,10 @@ def wild_bootstrap(fit: FitResult, z_resid, t_observed: float, n_draws: int = 39
     if r_n < 1 or z_resid.shape[0] != fit.n_obs:
         raise ValueError("z_resid must be n x r with r >= 1")
 
-    t_star = np.fromiter(
-        (_draw_statistic(fit, z_resid, dist, seed, b, r_n) for b in range(n_draws)),
-        dtype=float, count=n_draws)
+    t_star = np.concatenate([
+        _block_statistics(fit, z_resid, dist, seed,
+                          range(start, min(start + _BLOCK, n_draws)))
+        for start in range(0, n_draws, _BLOCK)])
 
     valid = t_star[np.isfinite(t_star)]
     n_failed = n_draws - valid.size

@@ -11,11 +11,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import single_threaded_lapack
 from .bootstrap import MULTIPLIERS, wild_bootstrap
 from .design import ModelSpec, build_partially_linear, screen_collinear
 from .errors import (
@@ -82,7 +84,7 @@ def load_csv(path) -> Dataset:
                         f"{path}: line {lineno}, column {names[j]!r}: "
                         f"non-numeric value {cell!r}"
                     ) from None
-                if not np.isfinite(val):
+                if not math.isfinite(val):
                     raise InputError(
                         f"{path}: line {lineno}, column {names[j]!r}: "
                         "missing or non-finite value"
@@ -417,7 +419,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with single_threaded_lapack():
+            return args.func(args)
     except (InputError, DesignError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -53,6 +53,18 @@ VARIANTS = ("ols_short", "ols_long", "fgls_long", "fgls_short")
 RESIDUAL_FLOOR_REL = 1e-12
 
 
+def floored_squares(residuals: np.ndarray) -> tuple:
+    """Squared residuals floored at ``RESIDUAL_FLOOR_REL`` times their mean, per column.
+
+    Works along axis 0, so a matrix holds one residual vector per column.
+    Returns the floored squares and, per column, whether any was floored.
+    """
+    r2 = np.square(residuals)
+    floor = RESIDUAL_FLOOR_REL * r2.mean(axis=0)
+    needs = r2 < floor
+    return np.where(needs, floor, r2), needs.any(axis=0)
+
+
 @dataclass(frozen=True)
 class VarianceWeights:
     """Per-observation variance weights with a small-value floor.
@@ -68,10 +80,8 @@ class VarianceWeights:
 
     @classmethod
     def from_residuals(cls, residuals) -> "VarianceWeights":
-        r2 = np.asarray(residuals, dtype=float).ravel() ** 2
-        floor = RESIDUAL_FLOOR_REL * float(r2.mean())
-        needs = r2 < floor
-        return cls(np.where(needs, floor, r2), bool(needs.any()), "residual")
+        values, floored = floored_squares(np.asarray(residuals, dtype=float).ravel())
+        return cls(values, bool(floored), "residual")
 
     @classmethod
     def from_true(cls, sigma2) -> "VarianceWeights":

@@ -8,7 +8,7 @@ import pytest
 import serieslm.bootstrap as bt
 from serieslm.errors import SingularMomentMatrixError
 from serieslm.lmtest import VarianceWeights, lm_statistic, standardize
-from serieslm.regress import ols_fit, residualize_block
+from serieslm.regress import annihilate, ols_fit, residualize_block
 
 
 def make_fit(seed=0, n=60, m=3, r=4):
@@ -18,6 +18,28 @@ def make_fit(seed=0, n=60, m=3, r=4):
     y = w @ rng.normal(size=m) + rng.normal(size=n) * (1 + rng.random(n))
     fit = ols_fit(w, y)
     return fit, residualize_block(fit, z), w, z, y
+
+
+def per_draw_oracle(fit, zt, dist, seed, n_draws):
+    """t* draw by draw: ``lm_statistic`` on the annihilated synthetic errors.
+
+    Returns the statistics (NaN for a singular inner matrix) and whether each
+    draw's weights were floored.
+    """
+    t_star, floored = [], []
+    for b in range(n_draws):
+        rng = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(seed, spawn_key=(b,))))
+        resid_star = annihilate(fit, bt.draw_multipliers(dist, fit.n_obs, rng)
+                                * fit.residuals)
+        weights = VarianceWeights.from_residuals(resid_star)
+        floored.append(weights.floor_applied)
+        try:
+            stat = lm_statistic(resid_star, zt, weights)
+        except SingularMomentMatrixError:
+            stat = math.nan
+        t_star.append(standardize(stat, zt.shape[1]))
+    return np.array(t_star), np.array(floored)
 
 
 class TestMultipliers:
@@ -139,3 +161,72 @@ class TestWildBootstrap:
             bt.wild_bootstrap(fit, zt, 0.0, n_draws=0)
         with pytest.raises(ValueError):
             bt.wild_bootstrap(fit, zt, 0.0, dist="theta")
+
+
+class TestBlockedDraws:
+    """The blocked computation against the per-draw oracle, across block edges."""
+
+    @pytest.mark.parametrize("dist", bt.MULTIPLIERS)
+    @pytest.mark.parametrize("n_draws", [1, 63, 64, 65, 199])
+    def test_matches_per_draw_oracle(self, n_draws, dist):
+        assert bt._BLOCK == 64
+        fit, zt, _, _, _ = make_fit(seed=21, n=120, m=4, r=9)
+        res = bt.wild_bootstrap(fit, zt, 0.4, n_draws=n_draws, dist=dist, seed=8)
+        expected, _ = per_draw_oracle(fit, zt, dist, 8, n_draws)
+        assert res.t_star.shape == (n_draws,) and res.n_failed == 0
+        np.testing.assert_allclose(res.t_star, expected, rtol=1e-10, atol=0)
+
+    def test_planted_zero_residual_is_floored_in_every_draw(self):
+        # W vanishes on the last observation and so does y: its residual is
+        # exactly 0 in the fit and in every draw, while its Zt row is not; the
+        # dummy column of that observation leaves the inner matrix singular
+        # without the floor
+        rng = np.random.default_rng(22)
+        n = 80
+        w = rng.normal(size=(n, 3))
+        w[-1] = 0.0
+        y = w @ rng.normal(size=3) + rng.normal(size=n)
+        y[-1] = 0.0
+        fit = ols_fit(w, y)
+        z = np.column_stack([rng.normal(size=(n, 3)), np.eye(n)[:, -1]])
+        zt = residualize_block(fit, z)
+        assert fit.residuals[-1] == 0.0 and zt[-1, 3] == 1.0
+        for dist in bt.MULTIPLIERS:
+            res = bt.wild_bootstrap(fit, zt, 0.0, n_draws=70, dist=dist, seed=6)
+            expected, floored = per_draw_oracle(fit, zt, dist, 6, 70)
+            assert floored.all() and res.n_failed == 0
+            np.testing.assert_allclose(res.t_star, expected, rtol=1e-10, atol=0)
+
+    @staticmethod
+    def vanishing_multipliers(monkeypatch, zero_draws):
+        """Draws in ``zero_draws`` get all-zero multipliers, so a zero inner matrix."""
+        draw = bt.draw_multipliers
+
+        def patched(dist, n, rng):
+            v = draw(dist, n, rng)
+            return 0.0 * v if rng.bit_generator.seed_seq.spawn_key[0] in zero_draws else v
+
+        monkeypatch.setattr(bt, "draw_multipliers", patched)
+
+    def test_singular_draws_are_nan_at_the_oracle_indices(self, monkeypatch):
+        fit, zt, _, _, _ = make_fit(seed=23, n=90, m=3, r=5)
+        self.vanishing_multipliers(monkeypatch, {64})
+        res = bt.wild_bootstrap(fit, zt, 0.0, n_draws=199, dist="mammen", seed=2)
+        expected, _ = per_draw_oracle(fit, zt, "mammen", 2, 199)
+        np.testing.assert_array_equal(np.isnan(res.t_star), np.isnan(expected))
+        assert np.flatnonzero(np.isnan(res.t_star)).tolist() == [64]
+        assert res.n_failed == 1
+        np.testing.assert_allclose(res.t_star, expected, rtol=1e-10, atol=0)
+
+    def test_failures_above_the_limit_raise(self, monkeypatch):
+        # 2 of 199 is above MAX_FAILURE_FRAC; so is a near-collinear Z,
+        # whose inner matrices fail to factor in most draws
+        fit, zt, _, _, _ = make_fit(seed=23, n=90, m=3, r=5)
+        near = np.column_stack([zt, zt[:, 0] + 1e-13 * zt[:, 1]])
+        expected, _ = per_draw_oracle(fit, near, "rademacher", 2, 199)
+        assert np.isnan(expected).sum() > bt.MAX_FAILURE_FRAC * 199
+        with pytest.raises(SingularMomentMatrixError, match="of 199 bootstrap draws"):
+            bt.wild_bootstrap(fit, near, 0.0, n_draws=199, seed=2)
+        self.vanishing_multipliers(monkeypatch, {63, 130})
+        with pytest.raises(SingularMomentMatrixError, match="2 of 199 bootstrap draws"):
+            bt.wild_bootstrap(fit, zt, 0.0, n_draws=199, seed=2)

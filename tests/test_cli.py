@@ -1,5 +1,6 @@
 """CLI: CSV ingestion, commands, exit codes, machine-readable outputs."""
 
+import contextlib
 import json
 from pathlib import Path
 
@@ -19,6 +20,27 @@ def write_sim_csv(path, n=300, hypothesis="null", seed=3):
     rows = "\n".join(f"{float(a)!r},{float(b)!r},{float(c)!r}"
                      for a, b, c in zip(y, x1, x2))
     path.write_text("y,x1,x2\n" + rows + "\n")
+    return path
+
+
+def write_gasoline_csv(path, n=250, seed=7):
+    """Columns of configs/gasoline_age.json: m_n = 21 null and r_n = 89 alternative terms."""
+    rng = np.random.default_rng(seed)
+    cols = {
+        "y": rng.normal(size=n),
+        "price": rng.normal(size=n),
+        "income": rng.normal(size=n),
+        "age": 3.0 + rng.random(n),
+        "drivers": 0.5 + rng.random(n),
+        "hhsize": 1.0 + rng.random(n),
+        "urban": (rng.random(n) < 0.5).astype(float),
+        "youngsingle": (rng.random(n) < 0.2).astype(float),
+    }
+    for m in range(2, 13):
+        cols[f"month{m}"] = (rng.integers(0, 12, n) == m - 1).astype(float)
+    path.write_text(",".join(cols) + "\n" + "\n".join(
+        ",".join(repr(float(v[i])) for v in cols.values())
+        for i in range(n)) + "\n")
     return path
 
 
@@ -76,6 +98,19 @@ class TestLoadCsv:
         p.write_text("x\n1\n")
         with pytest.raises(InputError):
             load_csv(p)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_exits_2_naming_line_and_column(self, tmp_path, capsys,
+                                                             cell):
+        data = write_sim_csv(tmp_path / "d.csv")
+        lines = data.read_text().splitlines()
+        y, x1, _ = lines[2].split(",")
+        lines[2] = f"{y},{x1},{cell}"
+        data.write_text("\n".join(lines) + "\n")
+        cfg = sim_config(tmp_path / "c.json")
+        assert main(["test", "--data", str(data), "--config", str(cfg)]) == 2
+        assert ("line 3, column 'x2': missing or non-finite value"
+                in capsys.readouterr().err)
 
     def test_gasoline_shaped_file(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -269,24 +304,7 @@ class TestCmdTest:
         assert main(["test", "--data", str(p), "--config", str(cpath)]) == 3
 
     def test_gasoline_recipe_counts(self, tmp_path):
-        rng = np.random.default_rng(7)
-        n = 250
-        cols = {
-            "y": rng.normal(size=n),
-            "price": rng.normal(size=n),
-            "income": rng.normal(size=n),
-            "age": 3.0 + rng.random(n),
-            "drivers": 0.5 + rng.random(n),
-            "hhsize": 1.0 + rng.random(n),
-            "urban": (rng.random(n) < 0.5).astype(float),
-            "youngsingle": (rng.random(n) < 0.2).astype(float),
-        }
-        for m in range(2, 13):
-            cols[f"month{m}"] = (rng.integers(0, 12, n) == m - 1).astype(float)
-        p = tmp_path / "gas.csv"
-        p.write_text(",".join(cols) + "\n" + "\n".join(
-            ",".join(repr(float(v[i])) for v in cols.values())
-            for i in range(n)) + "\n")
+        p = write_gasoline_csv(tmp_path / "gas.csv")
         out = tmp_path / "res.json"
         code = main(["test", "--data", str(p),
                      "--config", str(CONFIG_DIR / "gasoline_age.json"),
@@ -368,6 +386,65 @@ class TestCmdTune:
         assert code == 2
         assert "grid candidates must be >= 4" in capsys.readouterr().err
         assert loaded == []
+
+
+class TestLapackPin:
+    """Every command runs with scipy's LAPACK on one thread."""
+
+    def recorder(self, monkeypatch, name, lapack_threads):
+        seen = []
+        original = getattr(cli, name)
+
+        def recording(*args, **kwargs):
+            seen.append(lapack_threads())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, recording)
+        return seen
+
+    def test_test_runs_on_one_thread(self, tmp_path, monkeypatch, lapack_threads):
+        seen = self.recorder(monkeypatch, "run_test", lapack_threads)
+        data = write_sim_csv(tmp_path / "d.csv")
+        cfg = sim_config(tmp_path / "c.json")
+        assert main(["test", "--data", str(data), "--config", str(cfg),
+                     "--bootstrap", "9"]) == 0
+        assert seen == [1]
+        assert lapack_threads() == 3
+
+    def test_tune_runs_on_one_thread(self, tmp_path, monkeypatch, lapack_threads):
+        seen = self.recorder(monkeypatch, "data_driven_test", lapack_threads)
+        data = write_sim_csv(tmp_path / "d.csv")
+        assert main(["tune", "--data", str(data), "--y", "y", "--x1", "x1",
+                     "--x2", "x2", "--a-min", "4", "--a-max", "5"]) == 0
+        assert seen == [1]
+        assert lapack_threads() == 3
+
+    def test_count_restored_after_input_error(self, tmp_path, monkeypatch,
+                                              lapack_threads):
+        seen = self.recorder(monkeypatch, "load_csv", lapack_threads)
+        data = tmp_path / "d.csv"
+        data.write_text("y,x1,x2\n1,2,3\n4,nan,6\n")
+        cfg = sim_config(tmp_path / "c.json")
+        assert main(["test", "--data", str(data), "--config", str(cfg)]) == 2
+        assert seen == [1]
+        assert lapack_threads() == 3
+
+    def test_unpinned_result_file_is_byte_identical(self, tmp_path, monkeypatch,
+                                                    lapack_threads):
+        # 89 alternative columns: the moment matrices are large enough for
+        # OpenBLAS to thread them when unpinned
+        data = write_gasoline_csv(tmp_path / "gas.csv")
+        argv = ["test", "--data", str(data),
+                "--config", str(CONFIG_DIR / "gasoline_age.json"),
+                "--bootstrap", "99", "--seed", "4"]
+        pinned, unpinned = tmp_path / "pinned.json", tmp_path / "unpinned.json"
+        assert main(argv + ["--out", str(pinned)]) == 0
+        monkeypatch.setattr(cli, "single_threaded_lapack", contextlib.nullcontext)
+        seen = self.recorder(monkeypatch, "run_test", lapack_threads)
+        assert main(argv + ["--out", str(unpinned)]) == 0
+        assert seen == [3]
+        assert json.loads(pinned.read_text())["r_n"] == 89
+        assert unpinned.read_bytes() == pinned.read_bytes()
 
 
 class TestCmdSimulate:

@@ -142,19 +142,6 @@ class TestRunMc:
         assert exc.value.args == (("ols_short", "power", 120, 5, "null"),)
 
 
-@pytest.fixture
-def lapack_threads():
-    """scipy's LAPACK thread functions, with the count set to 3 for the test."""
-    functions = _blas._thread_functions()
-    if functions is None:
-        pytest.skip("scipy's LAPACK exports no OpenBLAS thread control")
-    get_threads, set_threads = functions
-    before = get_threads()
-    set_threads(3)
-    yield get_threads
-    set_threads(before)
-
-
 def every_variant_config(**kwargs):
     # n=1000 with a_n = 8, 9 reaches matrix sizes where OpenBLAS threads its
     # kernels: pinning numpy's BLAS as well moves 46 of these mean statistics
