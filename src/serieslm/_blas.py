@@ -1,4 +1,4 @@
-"""Thread count of scipy's LAPACK, pinned to one thread while a command runs.
+"""Thread counts of the two OpenBLAS builds: scipy's pinned, numpy's read.
 
 scipy's wheels link ``scipy.linalg._flapack`` against their own OpenBLAS,
 which serves the QR, Cholesky and triangular solves.  Its default of one
@@ -8,24 +8,44 @@ nothing from threading; pinning it leaves every output bitwise unchanged.
 ``cli.main`` holds the pin around every command, and ``run_mc`` takes it
 again (with a pool initializer for its workers) for library callers; a nested
 pin is harmless, because each level restores the count it found.  Library
-calls outside ``run_mc`` keep the process's own setting.  numpy's separate
-OpenBLAS build is left alone: pinning it moves the statistics' low bits.
-The thread functions are looked up through the extension module, so the
-dynamic linker finds them in whichever OpenBLAS it loaded; a scipy built on
-another LAPACK exports none, and the pin then does nothing.
+calls outside ``run_mc`` keep the process's own setting.
+
+numpy's separate OpenBLAS build serves the matrix products.  It is never
+set, because pinning it moves the statistics' low bits; ``run_mc`` only reads
+its thread count, to start no more worker processes than it leaves cores for.
+
+The thread functions are looked up through the extension modules, so the
+dynamic linker finds them in whichever OpenBLAS each one loaded; a build on
+another BLAS or LAPACK exports none, and the pin (or the read) then does
+nothing.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
+
+# numpy's thread query: the numpy 2.x wheels' name first, then numpy 1.x's
+NUMPY_THREAD_QUERIES = ("scipy_openblas_get_num_threads64_",
+                        "openblas_get_num_threads64_")
+
+
+@functools.lru_cache(maxsize=None)
+def _library(path: str) -> ctypes.CDLL:
+    """The loaded shared object at ``path``, wrapped once per process.
+
+    Every ``ctypes.CDLL`` instance defines its own function-pointer class, a
+    reference cycle; wrapping once keeps a command from leaving such garbage.
+    """
+    return ctypes.CDLL(path)
 
 
 def _thread_functions():
     """(get, set) for the thread count of scipy's OpenBLAS, or None when absent."""
     from scipy.linalg import _flapack
 
-    lib = ctypes.CDLL(_flapack.__file__)
+    lib = _library(_flapack.__file__)
     try:
         get_threads = lib.scipy_openblas_get_num_threads
         set_threads = lib.scipy_openblas_set_num_threads
@@ -36,6 +56,25 @@ def _thread_functions():
     set_threads.argtypes = [ctypes.c_int]
     set_threads.restype = None
     return get_threads, set_threads
+
+
+def numpy_blas_threads():
+    """Thread count of numpy's OpenBLAS, or None when it exports no thread query."""
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath
+
+    lib = _library(_multiarray_umath.__file__)
+    for name in NUMPY_THREAD_QUERIES:
+        try:
+            get_threads = getattr(lib, name)
+        except AttributeError:
+            continue
+        get_threads.argtypes = []
+        get_threads.restype = ctypes.c_int
+        return get_threads()
+    return None
 
 
 @contextlib.contextmanager

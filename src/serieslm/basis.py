@@ -114,7 +114,8 @@ def power_basis(v, a: int, name: str = "v") -> BasisMatrix:
     if a < 1:
         raise ValueError("basis size a must be >= 1")
     vals = np.vander(arr, a, increasing=True)
-    labels = tuple(_power_label(name, j) for j in range(a))
+    # a list, not a generator (see design.AlternativeSpec)
+    labels = tuple([_power_label(name, j) for j in range(a)])
     return BasisMatrix(vals, labels)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -28,7 +29,7 @@ from .errors import (
     SingularMomentMatrixError,
 )
 from .lmtest import VARIANTS, run_test
-from .mc import MC_VARIANTS, McConfig, emit_report, run_mc
+from .mc import MC_VARIANTS, McConfig, emit_report, run_mc, worker_plan
 from .tuning import CRITERIA, TuningGrid, data_driven_test
 
 __all__ = ["Dataset", "load_csv", "main"]
@@ -346,6 +347,13 @@ def cmd_simulate(args) -> int:
         bootstrap_dist=args.dist or "rademacher",
         threads=args.threads,
     )
+    workers, blas_threads, cores = worker_plan(config.threads)
+    if workers < config.threads:
+        how = ("runs the cells in this process" if workers == 1
+               else f"starts {workers} worker processes")
+        print(f"simulate: --threads {config.threads} {how}: numpy's BLAS runs "
+              f"{blas_threads} threads per process on {cores} usable cores",
+              file=sys.stderr)
     report = run_mc(config)
     csv_path = f"{args.out}.csv"
     plot_path = f"{args.out}.dat"
@@ -359,7 +367,13 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    A parser is a web of reference cycles: building one per ``main`` call
+    leaves a few hundred objects per call for the cyclic collector.
+    """
     parser = argparse.ArgumentParser(
         prog="serieslm",
         description="Heteroskedasticity-robust series LM specification tests",
@@ -395,7 +409,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--bootstrap", type=int, default=399, metavar="B")
     p_sim.add_argument("--dist", choices=MULTIPLIERS)
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--threads", type=int, default=1)
+    p_sim.add_argument("--threads", type=int, default=1,
+                       help="worker processes at most; fewer when numpy's BLAS "
+                            "threads already fill the usable cores")
     p_sim.add_argument("--out", required=True, help="output path prefix")
     p_sim.set_defaults(func=cmd_simulate)
 

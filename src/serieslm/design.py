@@ -64,7 +64,10 @@ class AlternativeSpec:
     def __post_init__(self):
         if self.recipe not in RECIPES:
             raise ValueError(f"unknown alternative recipe {self.recipe!r}")
-        object.__setattr__(self, "basis", tuple((v, s) for v, s in self.basis))
+        # tuple() of a list, not of a generator, here and in ModelSpec: a
+        # tuple grown from a generator ends in CPython's tuple free list when
+        # it dies, so a long Monte Carlo run's memory would creep up
+        object.__setattr__(self, "basis", tuple([(v, s) for v, s in self.basis]))
         object.__setattr__(self, "custom_terms", tuple(self.custom_terms))
         if not all(isinstance(t, str) for t in self.custom_terms):
             raise ValueError("custom terms must be strings")
@@ -86,7 +89,7 @@ class ModelSpec:
     def __post_init__(self):
         object.__setattr__(self, "linear_vars", tuple(self.linear_vars))
         object.__setattr__(self, "series_vars",
-                           tuple((v, s) for v, s in self.series_vars))
+                           tuple([(v, s) for v, s in self.series_vars]))
         series_names = [v for v, _ in self.series_vars]
         overlap = set(self.linear_vars) & set(series_names)
         if overlap:

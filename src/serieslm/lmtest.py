@@ -95,18 +95,34 @@ def _weighted_gram(a: np.ndarray, s: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a * s[:, None]).T @ b
 
 
+# LAPACK called directly: at the sizes here scipy.linalg's input validation
+# costs more than the factorization itself
+_POTRF, _TRTRS = scipy.linalg.get_lapack_funcs(("potrf", "trtrs"), dtype=np.float64)
+
+
+def _require_finite(a: np.ndarray):
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+
+
 def _chol(mat: np.ndarray, what: str) -> np.ndarray:
-    try:
-        return scipy.linalg.cholesky(mat, lower=True)
-    except scipy.linalg.LinAlgError as exc:
+    """Lower Cholesky factor of the symmetric ``mat``, as scipy.linalg.cholesky gives it."""
+    _require_finite(mat)
+    factor, info = _POTRF(mat, lower=True, clean=True)
+    if info > 0:
         raise SingularMomentMatrixError(
             f"{what} is singular or indefinite; the alternative block is "
             "collinear or carries too many terms for this sample"
-        ) from exc
+        )
+    return factor
 
 
 def _quadform(inner: np.ndarray, u: np.ndarray, what: str) -> float:
-    v = scipy.linalg.solve_triangular(_chol(inner, what), u, lower=True)
+    """u' inner^{-1} u through the Cholesky factor of ``inner``."""
+    factor = _chol(inner, what)
+    _require_finite(u)
+    # the factor's diagonal is positive, so the triangular solve cannot fail
+    v, _ = _TRTRS(factor, u, lower=True)
     return float(v @ v)
 
 

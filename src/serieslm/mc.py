@@ -11,17 +11,22 @@ seeded with ``SeedSequence(base_seed, spawn_key=(family, n, a_n, hyp, rep))``
 (a_n = 0 for the grid-based data-driven variants), and normal variates come
 from the inverse-cdf transform of the uniform stream.  Results are therefore
 byte-identical across runs and worker counts.
+
+Worker processes: ``run_mc`` starts at most as many as numpy's BLAS leaves
+cores for.  Each process's numpy OpenBLAS already runs one thread per core, so
+on a machine it fills, extra processes only share the same cores; the cells
+then run in the calling process.  numpy's thread count is read, never set.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._blas import pin_worker_lapack, single_threaded_lapack
+from ._blas import numpy_blas_threads, pin_worker_lapack, single_threaded_lapack
 from .bootstrap import wild_bootstrap
 from .design import simulation_design
 from .distributions import normal_quantile
@@ -37,6 +42,7 @@ __all__ = [
     "McReport",
     "gen_sample",
     "run_mc",
+    "worker_plan",
     "emit_report",
     "MC_VARIANTS",
     "CSV_HEADER",
@@ -305,15 +311,38 @@ def _run_cell(config: McConfig, family: str, n: int, a_n: int, hyp: str,
     return rows
 
 
+def _worker_cap(threads: int, cores: int, blas_threads) -> int:
+    """Worker processes for ``threads`` requested, ``cores`` usable and numpy's BLAS threads.
+
+    Every worker's numpy BLAS runs ``blas_threads`` threads, so more than
+    ``cores // blas_threads`` workers oversubscribe the cores; None (no
+    thread query) leaves the request as it is.
+    """
+    if blas_threads is None:
+        return threads
+    return max(1, min(threads, cores // blas_threads))
+
+
+def worker_plan(threads: int) -> tuple:
+    """(workers, numpy's BLAS threads or None, usable cores) for ``threads`` requested."""
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    blas_threads = numpy_blas_threads()
+    return _worker_cap(threads, cores, blas_threads), blas_threads, cores
+
+
 def run_mc(config: McConfig) -> McReport:
     """Run every requested cell and return the tidy rejection-rate report.
 
-    Cells are independent and may run in separate processes
-    (``config.threads``); aggregation order is fixed by the cell enumeration,
-    so the report is identical for any thread count.  scipy's LAPACK runs on
-    one thread in this process and in every worker for the duration of the
-    run (see ``_blas``); the caller's thread count is restored on return,
-    also when a cell raises.
+    Cells are independent and may run in separate processes: up to
+    ``config.threads``, but no more than numpy's BLAS leaves cores for (see
+    ``worker_plan``), and in this process when that is one.  Aggregation
+    order is fixed by the cell enumeration, so the report is identical for
+    any worker count.  scipy's LAPACK runs on one thread in this process and
+    in every worker for the duration of the run (see ``_blas``); the
+    caller's thread count is restored on return, also when a cell raises.
     """
     fixed = tuple(v for v in config.variants if v in FIXED_VARIANTS)
     grids = tuple(v for v in config.variants if v in GRID_VARIANTS)
@@ -328,9 +357,13 @@ def run_mc(config: McConfig) -> McReport:
                 if grids:
                     jobs.append((config, family, n, 0, hyp, grids))
 
+    workers = worker_plan(config.threads)[0]
     with single_threaded_lapack():
-        if config.threads > 1 and len(jobs) > 1:
-            with ProcessPoolExecutor(max_workers=config.threads,
+        if workers > 1 and len(jobs) > 1:
+            # imported only here: a run in this process never loads it
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(max_workers=workers,
                                      initializer=pin_worker_lapack) as pool:
                 chunks = list(pool.map(_run_cell, *zip(*jobs)))
         else:

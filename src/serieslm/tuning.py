@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .design import SIMULATION_A_MIN, simulation_design
+from .errors import SeriesLMError
 from .lmtest import VarianceWeights, chisq_rule, lm_statistic
 from .regress import ols_fit, residualize_block
 
@@ -57,6 +58,8 @@ class TuningGrid:
 
 def _select_size(fits, criterion: str) -> int:
     """Index of the fit minimizing the "cp" or "gcv" score; ties to the smallest model.
+
+    A fit is anything with ``rss``, ``n_params`` and ``n_obs``.
 
     Cp scores RSS/n + 2 s2 m/n, with the error variance s2 estimated from the
     largest candidate model; GCV scores n RSS / (n - m)^2.
@@ -120,54 +123,74 @@ class DataDrivenResult:
     candidate_table: tuple = field(default=())
 
 
+@dataclass(frozen=True)
+class _Candidate:
+    """One grid candidate's null-fit summary and statistic, without its design.
+
+    ``error`` holds the exception the statistic raised (``statistic`` is then
+    NaN); it is raised only when a selection reaches the candidate.
+    """
+
+    a: int
+    n_params: int  # m_n
+    r_n: int
+    n_obs: int
+    rss: float
+    statistic: float
+    error: Exception = None
+
+
+def _candidate(y, x1, x2, a: int, family: str) -> _Candidate:
+    """Fit and test one grid candidate; its W and Z are dropped on return."""
+    pair = simulation_design(x1, x2, a, family)
+    fit = ols_fit(pair.w, y)
+    stat, error = math.nan, None
+    try:
+        stat = lm_statistic(fit.residuals, residualize_block(fit, pair.z),
+                            VarianceWeights.from_residuals(fit.residuals))
+    except (SeriesLMError, ValueError) as exc:
+        error = exc
+    return _Candidate(a, pair.m_n, pair.r_n, fit.n_obs, fit.rss, stat, error)
+
+
 def data_driven_decisions(y, x1, x2, grid: TuningGrid, family: str = "power",
                           levels=(0.05,), criteria=CRITERIA) -> dict:
     """Data-driven tests for several selection criteria on one sample.
 
-    Designs, null fits, and candidate statistics are computed once and
-    shared across criteria.  Returns {criterion: DataDrivenResult}.
+    Each candidate's design, null fit and statistic are computed once, one
+    candidate at a time, and shared across criteria.  A statistic that fails
+    at a candidate no criterion reaches is ignored.  Returns
+    {criterion: DataDrivenResult}.
     """
     for criterion in criteria:
         if criterion not in CRITERIA:
             raise ValueError(f"unknown criterion {criterion!r}; expected {CRITERIA}")
     y = np.asarray(y, dtype=float).ravel()
-    designs = [simulation_design(x1, x2, a, family) for a in grid.candidates]
-    fits = [ols_fit(pair.w, y) for pair in designs]
-
-    stat_cache: dict = {}
-
-    def candidate_stat(i: int) -> float:
-        if i not in stat_cache:
-            pair, fit = designs[i], fits[i]
-            zt = residualize_block(fit, pair.z)
-            stat_cache[i] = lm_statistic(
-                fit.residuals, zt, VarianceWeights.from_residuals(fit.residuals))
-        return stat_cache[i]
+    candidates = [_candidate(y, x1, x2, a, family) for a in grid.candidates]
 
     out = {}
     for criterion in criteria:
-        a_idx = _select_size(fits, criterion)
+        a_idx = _select_size(candidates, criterion)
+        reached = candidates[a_idx:]
+        for cand in reached:
+            if cand.error is not None:
+                raise cand.error
+        stat_by_r = {cand.r_n: cand.statistic for cand in reached}
 
-        stat_by_r, rows = {}, []
-        for i in range(a_idx, len(designs)):
-            stat = candidate_stat(i)
-            stat_by_r[designs[i].r_n] = stat
-            rows.append((grid.candidates[i], designs[i].m_n, designs[i].r_n,
-                         fits[i].rss, stat))
-
-        r_min = designs[a_idx].r_n
+        r_min = candidates[a_idx].r_n
         r_hat = select_r(stat_by_r, r_min, grid.c)
         stat_hat = stat_by_r[r_hat]
         p_value, reject = chisq_rule(stat_hat, r_min, levels)
         out[criterion] = DataDrivenResult(
             criterion=criterion,
-            selected_a=grid.candidates[a_idx],
+            selected_a=candidates[a_idx].a,
             selected_r=r_hat,
             r_min=r_min,
             statistic=stat_hat,
             p_value=p_value,
             reject=reject,
-            candidate_table=tuple(rows),
+            candidate_table=tuple([(cand.a, cand.n_params, cand.r_n, cand.rss,
+                                    cand.statistic) for cand in reached]),
         )
     return out
 

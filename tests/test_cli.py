@@ -1,13 +1,14 @@
 """CLI: CSV ingestion, commands, exit codes, machine-readable outputs."""
 
 import contextlib
+import gc
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from serieslm import cli
+from serieslm import cli, mc
 from serieslm.cli import Dataset, load_csv, main
 from serieslm.errors import InputError
 from serieslm.mc import DgpSpec, gen_sample
@@ -471,6 +472,52 @@ class TestCmdSimulate:
     def test_bad_variant_is_input_error(self, tmp_path):
         assert main(["simulate", "--reps", "2", "--variants", "nope",
                      "--out", str(tmp_path / "x")]) == 2
+
+    SIM = ["simulate", "--reps", "4", "--n", "120", "--a-min", "4", "--a-max", "5",
+           "--hypotheses", "null,alternative", "--seed", "3"]
+
+    @pytest.mark.parametrize("threads,plan,line", [
+        ("2", (1, 2, 2), "simulate: --threads 2 runs the cells in this process: "
+                         "numpy's BLAS runs 2 threads per process on 2 usable cores"),
+        ("8", (4, 2, 8), "simulate: --threads 8 starts 4 worker processes: "
+                         "numpy's BLAS runs 2 threads per process on 8 usable cores"),
+    ], ids=["in-process", "fewer-workers"])
+    def test_capped_workers_reported_on_stderr(self, tmp_path, capsys, monkeypatch,
+                                               threads, plan, line):
+        assert main(self.SIM + ["--threads", "1", "--out", str(tmp_path / "one")]) == 0
+        one = capsys.readouterr()
+        assert one.err == ""
+        monkeypatch.setattr(cli, "worker_plan", lambda requested: plan)
+        monkeypatch.setattr(mc, "_worker_cap", lambda *args: 1)
+        assert main(self.SIM + ["--threads", threads,
+                                "--out", str(tmp_path / "many")]) == 0
+        many = capsys.readouterr()
+        assert many.err == line + "\n"
+        assert many.out.replace(str(tmp_path / "many"), str(tmp_path / "one")) == one.out
+        assert (tmp_path / "many.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+    def test_uncapped_workers_print_nothing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "worker_plan", lambda requested: (requested, 1, 2))
+        monkeypatch.setattr(mc, "_worker_cap", lambda *args: 1)
+        assert main(self.SIM + ["--threads", "2", "--out", str(tmp_path / "x")]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("variants", ["ols_short,fgls_long,wild_bootstrap",
+                                          "data_driven_cp,data_driven_gcv"])
+    def test_leaves_no_reference_cycles(self, tmp_path, monkeypatch, variants):
+        # a long run calls main back to back: garbage that only the cyclic
+        # collector frees (a parser, a ctypes library wrapper) adds up
+        monkeypatch.setattr(mc, "_worker_cap", lambda *args: 1)
+        argv = self.SIM + ["--variants", variants, "--bootstrap", "19",
+                           "--out", str(tmp_path / "x")]
+        assert main(argv) == 0
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(argv) == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_is_input_error(self, tmp_path, threads):

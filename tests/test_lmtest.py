@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.stats
 
 from serieslm.design import simulation_design
+from serieslm import lmtest
 from serieslm.distributions import chisq_cdf, normal_cdf
 from serieslm.errors import SingularMomentMatrixError
 from serieslm.mc import DgpSpec, gen_sample
@@ -72,6 +74,36 @@ class TestLmStatistic:
         with pytest.raises(SingularMomentMatrixError):
             lm_statistic(rng.normal(size=30), zt,
                          VarianceWeights.from_true(np.ones(30)))
+
+
+class TestQuadform:
+    """The direct LAPACK calls against scipy.linalg's validated wrappers."""
+
+    @pytest.mark.parametrize("r", [5, 19, 43, 89])
+    def test_bitwise_equal_to_scipy(self, r):
+        rng = np.random.default_rng(r)
+        for _ in range(25):
+            a = rng.normal(size=(3 * r, r)) * rng.uniform(0.1, 10.0, size=r)
+            inner = a.T @ a
+            u = rng.normal(size=(r, 2))
+            for mat in (inner, inner.T, np.asfortranarray(inner)):
+                factor = scipy.linalg.cholesky(mat, lower=True)
+                assert np.array_equal(lmtest._chol(mat, "m"), factor)
+                for vec in (u[:, 0], u[:, 1], u[:, 1].copy()):  # strided and contiguous
+                    v = scipy.linalg.solve_triangular(factor, vec, lower=True)
+                    assert lmtest._quadform(mat, vec, "m") == float(v @ v)
+
+    def test_indefinite_is_singular_moment_error(self):
+        inner = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(SingularMomentMatrixError, match="the block"):
+            lmtest._quadform(inner, np.ones(2), "the block")
+
+    @pytest.mark.parametrize("where", ["inner", "u"])
+    def test_non_finite_input_is_value_error(self, where):
+        inner, u = np.eye(3), np.ones(3)
+        (inner if where == "inner" else u)[1, ...] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            lmtest._quadform(inner, u, "m")
 
 
 class TestRegressionRoute:

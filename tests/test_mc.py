@@ -1,7 +1,11 @@
-"""DGP formulas, harness reproducibility, report emission, LAPACK thread pin."""
+"""DGP formulas, harness reproducibility, report emission, thread policy."""
 
+import concurrent.futures
 import contextlib
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -204,6 +208,87 @@ class TestLapackPin:
             assert lapack_threads() == 3
         assert_same_rows(run_mc(every_variant_config()), pinned_report)
         assert lapack_threads() == 3
+
+
+def force_pool(monkeypatch, workers=2):
+    """Make run_mc start ``workers`` processes whatever numpy's BLAS fills."""
+    monkeypatch.setattr(mc, "_worker_cap", lambda threads, cores, blas: workers)
+
+
+class TestWorkerCap:
+    @pytest.mark.parametrize("threads,cores,blas_threads,workers", [
+        (1, 2, 2, 1),
+        (2, 2, 2, 1),
+        (3, 2, 2, 1),
+        (2, 2, 1, 2),
+        (3, 2, 1, 2),
+        (8, 8, 2, 4),
+        (3, 8, 2, 3),
+        (4, 2, 8, 1),
+        (3, 2, None, 3),
+        (1, 16, None, 1),
+    ])
+    def test_cap_arithmetic(self, threads, cores, blas_threads, workers):
+        assert mc._worker_cap(threads, cores, blas_threads) == workers
+
+    def test_plan_reads_cores_and_numpy_threads(self):
+        workers, blas_threads, cores = mc.worker_plan(4)
+        assert cores == len(os.sched_getaffinity(0))
+        assert blas_threads == _blas.numpy_blas_threads()
+        assert workers == mc._worker_cap(4, cores, blas_threads)
+
+    def test_numpy_threads_read(self):
+        blas_threads = _blas.numpy_blas_threads()
+        if blas_threads is None:
+            pytest.skip("numpy's BLAS exports no OpenBLAS thread query")
+        assert blas_threads >= 1
+
+    def test_missing_symbol_sizes_pool_as_requested(self, monkeypatch):
+        monkeypatch.setattr(_blas, "NUMPY_THREAD_QUERIES", ("no_such_query",))
+        assert _blas.numpy_blas_threads() is None
+        assert mc.worker_plan(3) == (3, None, len(os.sched_getaffinity(0)))
+
+    def test_run_mc_starts_the_planned_pool(self, monkeypatch):
+        started = []
+
+        class SerialPool(contextlib.AbstractContextManager):
+            def __init__(self, max_workers, initializer):
+                started.append(max_workers)
+
+            def __exit__(self, *exc):
+                return None
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(mc, "_worker_cap", lambda threads, cores, blas: 1)
+        run_mc(tiny_config(replications=2, threads=3))
+        assert started == []
+        force_pool(monkeypatch, 3)
+        run_mc(tiny_config(replications=2, threads=3))
+        assert started == [3]
+
+    def test_forced_pool_is_bitwise_equal(self, monkeypatch, pinned_report):
+        in_process = run_mc(tiny_config(threads=2))
+        force_pool(monkeypatch)
+        assert_same_rows(run_mc(tiny_config(threads=2)), in_process)
+        assert_same_rows(run_mc(every_variant_config(threads=2)), pinned_report)
+
+    def test_forced_pool_matches_golden(self, monkeypatch):
+        force_pool(monkeypatch)
+        golden = (DATA_DIR / "golden_mc.csv").read_text()
+        assert run_mc(tiny_config(threads=2)).to_csv() == golden
+
+    def test_cli_import_leaves_the_pool_unloaded(self):
+        src = Path(mc.__file__).resolve().parents[1]
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, serieslm.cli; "
+             "print('concurrent.futures.process' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestVariantTable:

@@ -6,11 +6,16 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from serieslm import mc, tuning
+from serieslm.design import simulation_design
 from serieslm.distributions import chisq_quantile
-from serieslm.mc import DgpSpec, gen_sample
-from serieslm.lmtest import run_test
+from serieslm.errors import SingularMomentMatrixError
+from serieslm.mc import DgpSpec, McConfig, gen_sample, run_mc
+from serieslm.lmtest import VarianceWeights, lm_statistic, run_test
+from serieslm.regress import ols_fit, residualize_block
 from serieslm.tuning import (
     TuningGrid,
+    data_driven_decisions,
     data_driven_test,
     gcv,
     mallows_cp,
@@ -194,3 +199,93 @@ class TestDataDrivenTest:
         assert cp_res.criterion == "cp" and gcv_res.criterion == "gcv"
         with pytest.raises(ValueError):
             data_driven_test(y, x1, x2, TuningGrid((4, 5)), criterion="aic")
+
+
+def oracle_decisions(y, x1, x2, grid, family, levels):
+    """Each candidate fitted and tested on its own, then both selections by hand."""
+    table = []
+    for a in grid.candidates:
+        pair = simulation_design(x1, x2, a, family)
+        fit = ols_fit(pair.w, y)
+        stat = lm_statistic(fit.residuals, residualize_block(fit, pair.z),
+                            VarianceWeights.from_residuals(fit.residuals))
+        table.append((a, pair.m_n, pair.r_n, fit.rss, stat))
+    n = y.size
+    s2 = table[-1][3] / (n - table[-1][1])  # Cp's variance from the largest model
+    scores = {"cp": [rss / n + 2.0 * s2 * m / n for _, m, _, rss, _ in table],
+              "gcv": [n * rss / (n - m) ** 2 for _, m, _, rss, _ in table]}
+    out = {}
+    for criterion, score in scores.items():
+        i = min(range(len(table)), key=lambda k: (score[k], k))
+        rows = tuple(table[i:])
+        r_min = rows[0][2]
+        r_hat = select_r({row[2]: row[4] for row in rows}, r_min, grid.c)
+        stat = next(row[4] for row in rows if row[2] == r_hat)
+        out[criterion] = (rows[0][0], r_hat, r_min, stat, rows, {
+            a: stat > scipy.stats.chi2.ppf(1.0 - a, r_min) for a in levels})
+    return out
+
+
+class TestDataDrivenDecisions:
+    GRID = TuningGrid((4, 5, 6, 7, 8))
+
+    @pytest.mark.parametrize("family", ["power", "spline"])
+    @pytest.mark.parametrize("hyp,seed", [("null", 1), ("null", 7),
+                                          ("alternative", 2), ("alternative", 8)])
+    def test_matches_per_candidate_oracle(self, family, hyp, seed):
+        y, x1, x2 = gen_sample(DgpSpec(400, hyp, seed=seed))
+        got = data_driven_decisions(y, x1, x2, self.GRID, family=family,
+                                    levels=(0.05, 0.1))
+        expected = oracle_decisions(y, x1, x2, self.GRID, family, (0.05, 0.1))
+        for criterion, (a_hat, r_hat, r_min, stat, rows, reject) in expected.items():
+            res = got[criterion]
+            assert (res.selected_a, res.selected_r, res.r_min) == (a_hat, r_hat, r_min)
+            assert res.statistic == stat
+            assert res.candidate_table == rows
+            assert res.reject == reject
+            assert res.p_value == pytest.approx(
+                scipy.stats.chi2.sf(stat, r_min), rel=1e-12)
+
+    def inject(self, monkeypatch, r_n):
+        """lm_statistic raising SingularMomentMatrixError for the candidate with r_n."""
+        real = tuning.lm_statistic
+
+        def failing(residuals, z_resid, weights):
+            if z_resid.shape[1] == r_n:
+                raise SingularMomentMatrixError("injected")
+            return real(residuals, z_resid, weights)
+
+        monkeypatch.setattr(tuning, "lm_statistic", failing)
+
+    def test_failure_below_every_selection_is_ignored(self, monkeypatch):
+        # both criteria select a = 7 here, so a = 5 (r_n = 19) is never reached
+        y, x1, x2 = gen_sample(DgpSpec(400, "alternative", seed=2))
+        clean = data_driven_decisions(y, x1, x2, self.GRID)
+        assert {res.selected_a for res in clean.values()} == {7}
+        self.inject(monkeypatch, 19)
+        assert data_driven_decisions(y, x1, x2, self.GRID) == clean
+
+    def test_failure_at_a_selected_candidate_raises(self, monkeypatch):
+        y, x1, x2 = gen_sample(DgpSpec(400, "alternative", seed=2))
+        self.inject(monkeypatch, 21)  # a = 7, the selected null size
+        with pytest.raises(SingularMomentMatrixError, match="injected"):
+            data_driven_decisions(y, x1, x2, self.GRID)
+
+    def test_failure_at_a_selected_candidate_drops_the_replication(self, monkeypatch):
+        config = McConfig(replications=3, n_values=(120,), a_values=(4, 5),
+                          variants=("data_driven_cp",), hypotheses=("null",),
+                          seed=5)
+        assert run_mc(config).rows[0].m_eff == 3
+        # two candidates per replication, so the second call is the largest
+        # candidate of replication 0, which every selection reaches
+        real, calls = tuning.lm_statistic, []
+
+        def failing_once(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise SingularMomentMatrixError("injected")
+            return real(*args)
+
+        monkeypatch.setattr(tuning, "lm_statistic", failing_once)
+        monkeypatch.setattr(mc, "MAX_FAILURE_FRAC", 0.5)
+        assert run_mc(config).rows[0].m_eff == 2
