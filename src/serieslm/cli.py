@@ -29,7 +29,7 @@ from .errors import (
     SingularMomentMatrixError,
 )
 from .lmtest import VARIANTS, run_test
-from .mc import MC_VARIANTS, McConfig, emit_report, run_mc, worker_plan
+from .mc import MC_VARIANTS, McConfig, emit_report, run_mc
 from .tuning import CRITERIA, TuningGrid, data_driven_test
 
 __all__ = ["Dataset", "load_csv", "main"]
@@ -347,14 +347,14 @@ def cmd_simulate(args) -> int:
         bootstrap_dist=args.dist or "rademacher",
         threads=args.threads,
     )
-    workers, blas_threads, cores = worker_plan(config.threads)
+    report = run_mc(config)
+    workers, blas_threads, cores = report.plan
     if workers < config.threads:
-        how = ("runs the cells in this process" if workers == 1
-               else f"starts {workers} worker processes")
+        how = ("ran the cells in this process" if workers == 1
+               else f"started {workers} worker processes")
         print(f"simulate: --threads {config.threads} {how}: numpy's BLAS runs "
               f"{blas_threads} threads per process on {cores} usable cores",
               file=sys.stderr)
-    report = run_mc(config)
     csv_path = f"{args.out}.csv"
     plot_path = f"{args.out}.dat"
     emit_report(report, csv_path, plot_path)
@@ -410,8 +410,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--dist", choices=MULTIPLIERS)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--threads", type=int, default=1,
-                       help="worker processes at most; fewer when numpy's BLAS "
-                            "threads already fill the usable cores")
+                       help="worker processes at most, and no more than usable "
+                            "cores // numpy's BLAS threads; numpy's OpenBLAS "
+                            "runs one thread per core by default, so this "
+                            "starts a pool only when OPENBLAS_NUM_THREADS "
+                            "lowers them")
     p_sim.add_argument("--out", required=True, help="output path prefix")
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -13,9 +13,13 @@ from the inverse-cdf transform of the uniform stream.  Results are therefore
 byte-identical across runs and worker counts.
 
 Worker processes: ``run_mc`` starts at most as many as numpy's BLAS leaves
-cores for.  Each process's numpy OpenBLAS already runs one thread per core, so
-on a machine it fills, extra processes only share the same cores; the cells
-then run in the calling process.  numpy's thread count is read, never set.
+cores for, ``usable cores // numpy's BLAS threads``, and runs the cells in the
+calling process when that is one.  numpy's OpenBLAS starts one thread per
+usable core by default, so by default the cells always run in the calling
+process, and ``config.threads`` (``--threads``) takes effect only when
+numpy's BLAS threads are lowered, e.g. with ``OPENBLAS_NUM_THREADS``.  More
+processes would only share the cores each one's BLAS already fills.  numpy's
+thread count is read, never set.  The policy was measured on two cores only.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +45,7 @@ __all__ = [
     "McConfig",
     "McRow",
     "McReport",
+    "WorkerPlan",
     "gen_sample",
     "run_mc",
     "worker_plan",
@@ -182,10 +188,21 @@ class McRow:
         ])
 
 
+class WorkerPlan(NamedTuple):
+    """How ``run_mc`` ran its cells: the worker processes it allowed (1: the
+    calling process; a single cell also runs there), numpy's BLAS threads per
+    process (None: no thread query) and the usable cores."""
+
+    workers: int
+    blas_threads: object
+    cores: int
+
+
 @dataclass(frozen=True)
 class McReport:
     rows: tuple
     config: McConfig
+    plan: WorkerPlan = None  # None for a report not made by run_mc
 
     def to_csv(self) -> str:
         return "\n".join([CSV_HEADER] + [row.csv_line() for row in self.rows]) + "\n"
@@ -323,14 +340,14 @@ def _worker_cap(threads: int, cores: int, blas_threads) -> int:
     return max(1, min(threads, cores // blas_threads))
 
 
-def worker_plan(threads: int) -> tuple:
-    """(workers, numpy's BLAS threads or None, usable cores) for ``threads`` requested."""
+def worker_plan(threads: int) -> WorkerPlan:
+    """The plan ``run_mc`` follows for ``threads`` requested, read in this process."""
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))
     else:
         cores = os.cpu_count() or 1
     blas_threads = numpy_blas_threads()
-    return _worker_cap(threads, cores, blas_threads), blas_threads, cores
+    return WorkerPlan(_worker_cap(threads, cores, blas_threads), blas_threads, cores)
 
 
 def run_mc(config: McConfig) -> McReport:
@@ -338,11 +355,12 @@ def run_mc(config: McConfig) -> McReport:
 
     Cells are independent and may run in separate processes: up to
     ``config.threads``, but no more than numpy's BLAS leaves cores for (see
-    ``worker_plan``), and in this process when that is one.  Aggregation
-    order is fixed by the cell enumeration, so the report is identical for
-    any worker count.  scipy's LAPACK runs on one thread in this process and
-    in every worker for the duration of the run (see ``_blas``); the
-    caller's thread count is restored on return, also when a cell raises.
+    ``worker_plan`` and the module docstring), and in this process when that
+    is one; the report's ``plan`` says which.  Aggregation order is fixed by
+    the cell enumeration, so the rows are identical for any worker count.
+    scipy's LAPACK runs on one thread in this process and in every worker
+    for the duration of the run (see ``_blas``); the caller's thread count
+    is restored on return, also when a cell raises.
     """
     fixed = tuple(v for v in config.variants if v in FIXED_VARIANTS)
     grids = tuple(v for v in config.variants if v in GRID_VARIANTS)
@@ -357,20 +375,20 @@ def run_mc(config: McConfig) -> McReport:
                 if grids:
                     jobs.append((config, family, n, 0, hyp, grids))
 
-    workers = worker_plan(config.threads)[0]
+    plan = worker_plan(config.threads)
     with single_threaded_lapack():
-        if workers > 1 and len(jobs) > 1:
+        if plan.workers > 1 and len(jobs) > 1:
             # imported only here: a run in this process never loads it
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=workers,
+            with ProcessPoolExecutor(max_workers=plan.workers,
                                      initializer=pin_worker_lapack) as pool:
                 chunks = list(pool.map(_run_cell, *zip(*jobs)))
         else:
             chunks = [_run_cell(*job) for job in jobs]
 
     rows = tuple(row for chunk in chunks for row in chunk)
-    return McReport(rows=rows, config=config)
+    return McReport(rows=rows, config=config, plan=plan)
 
 
 def emit_report(report: McReport, csv_path, plot_path=None):

@@ -13,6 +13,7 @@ r_min degrees of freedom.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -128,7 +129,9 @@ class _Candidate:
     """One grid candidate's null-fit summary and statistic, without its design.
 
     ``error`` holds the exception the statistic raised (``statistic`` is then
-    NaN); it is raised only when a selection reaches the candidate.
+    NaN), without its traceback; a copy is raised only when a selection
+    reaches the candidate.  Neither one refers to a frame that refers back to
+    it, so a failure leaves no reference cycle and no design alive.
     """
 
     a: int
@@ -149,7 +152,8 @@ def _candidate(y, x1, x2, a: int, family: str) -> _Candidate:
         stat = lm_statistic(fit.residuals, residualize_block(fit, pair.z),
                             VarianceWeights.from_residuals(fit.residuals))
     except (SeriesLMError, ValueError) as exc:
-        error = exc
+        # the traceback's frames hold this candidate's design and ``error``
+        error = exc.with_traceback(None)
     return _Candidate(a, pair.m_n, pair.r_n, fit.n_obs, fit.rss, stat, error)
 
 
@@ -174,7 +178,8 @@ def data_driven_decisions(y, x1, x2, grid: TuningGrid, family: str = "power",
         reached = candidates[a_idx:]
         for cand in reached:
             if cand.error is not None:
-                raise cand.error
+                # raising the stored one would tie it to this frame's candidates
+                raise copy.copy(cand.error)
         stat_by_r = {cand.r_n: cand.statistic for cand in reached}
 
         r_min = candidates[a_idx].r_n

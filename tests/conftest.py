@@ -1,5 +1,8 @@
 """Fixtures shared by the test modules."""
 
+import concurrent.futures
+import contextlib
+
 import pytest
 
 from serieslm import _blas
@@ -16,3 +19,25 @@ def lapack_threads():
     set_threads(3)
     yield get_threads
     set_threads(before)
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """ProcessPoolExecutor replaced by a pool that maps in this process.
+
+    Yields the list of ``max_workers`` of every pool started.
+    """
+    started = []
+
+    class SerialPool(contextlib.AbstractContextManager):
+        def __init__(self, max_workers, initializer):
+            started.append(max_workers)
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    yield started

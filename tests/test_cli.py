@@ -476,19 +476,25 @@ class TestCmdSimulate:
     SIM = ["simulate", "--reps", "4", "--n", "120", "--a-min", "4", "--a-max", "5",
            "--hypotheses", "null,alternative", "--seed", "3"]
 
-    @pytest.mark.parametrize("threads,plan,line", [
-        ("2", (1, 2, 2), "simulate: --threads 2 runs the cells in this process: "
-                         "numpy's BLAS runs 2 threads per process on 2 usable cores"),
-        ("8", (4, 2, 8), "simulate: --threads 8 starts 4 worker processes: "
-                         "numpy's BLAS runs 2 threads per process on 8 usable cores"),
+    @staticmethod
+    def fake_machine(monkeypatch, blas_threads, cores):
+        """numpy's BLAS threads and the usable cores as run_mc reads them."""
+        monkeypatch.setattr(mc, "numpy_blas_threads", lambda: blas_threads)
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: set(range(cores)))
+
+    @pytest.mark.parametrize("threads,blas_threads,cores,line", [
+        ("2", 2, 2, "simulate: --threads 2 ran the cells in this process: "
+                    "numpy's BLAS runs 2 threads per process on 2 usable cores"),
+        ("8", 2, 8, "simulate: --threads 8 started 4 worker processes: "
+                    "numpy's BLAS runs 2 threads per process on 8 usable cores"),
     ], ids=["in-process", "fewer-workers"])
     def test_capped_workers_reported_on_stderr(self, tmp_path, capsys, monkeypatch,
-                                               threads, plan, line):
+                                               serial_pool, threads, blas_threads,
+                                               cores, line):
         assert main(self.SIM + ["--threads", "1", "--out", str(tmp_path / "one")]) == 0
         one = capsys.readouterr()
         assert one.err == ""
-        monkeypatch.setattr(cli, "worker_plan", lambda requested: plan)
-        monkeypatch.setattr(mc, "_worker_cap", lambda *args: 1)
+        self.fake_machine(monkeypatch, blas_threads, cores)
         assert main(self.SIM + ["--threads", threads,
                                 "--out", str(tmp_path / "many")]) == 0
         many = capsys.readouterr()
@@ -496,10 +502,11 @@ class TestCmdSimulate:
         assert many.out.replace(str(tmp_path / "many"), str(tmp_path / "one")) == one.out
         assert (tmp_path / "many.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
 
-    def test_uncapped_workers_print_nothing(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "worker_plan", lambda requested: (requested, 1, 2))
-        monkeypatch.setattr(mc, "_worker_cap", lambda *args: 1)
+    def test_uncapped_workers_print_nothing(self, tmp_path, capsys, monkeypatch,
+                                            serial_pool):
+        self.fake_machine(monkeypatch, 1, 2)
         assert main(self.SIM + ["--threads", "2", "--out", str(tmp_path / "x")]) == 0
+        assert serial_pool == [2]
         assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("variants", ["ols_short,fgls_long,wild_bootstrap",

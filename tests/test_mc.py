@@ -1,6 +1,5 @@
 """DGP formulas, harness reproducibility, report emission, thread policy."""
 
-import concurrent.futures
 import contextlib
 import math
 import os
@@ -248,26 +247,16 @@ class TestWorkerCap:
         assert _blas.numpy_blas_threads() is None
         assert mc.worker_plan(3) == (3, None, len(os.sched_getaffinity(0)))
 
-    def test_run_mc_starts_the_planned_pool(self, monkeypatch):
-        started = []
-
-        class SerialPool(contextlib.AbstractContextManager):
-            def __init__(self, max_workers, initializer):
-                started.append(max_workers)
-
-            def __exit__(self, *exc):
-                return None
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    def test_run_mc_starts_the_planned_pool(self, monkeypatch, serial_pool):
+        started = serial_pool
         monkeypatch.setattr(mc, "_worker_cap", lambda threads, cores, blas: 1)
-        run_mc(tiny_config(replications=2, threads=3))
+        assert run_mc(tiny_config(replications=2, threads=3)).plan.workers == 1
         assert started == []
         force_pool(monkeypatch, 3)
-        run_mc(tiny_config(replications=2, threads=3))
+        report = run_mc(tiny_config(replications=2, threads=3))
         assert started == [3]
+        assert report.plan == mc.WorkerPlan(3, _blas.numpy_blas_threads(),
+                                            len(os.sched_getaffinity(0)))
 
     def test_forced_pool_is_bitwise_equal(self, monkeypatch, pinned_report):
         in_process = run_mc(tiny_config(threads=2))
@@ -279,6 +268,35 @@ class TestWorkerCap:
         force_pool(monkeypatch)
         golden = (DATA_DIR / "golden_mc.csv").read_text()
         assert run_mc(tiny_config(threads=2)).to_csv() == golden
+
+    def test_lowered_numpy_threads_start_a_pool(self, tmp_path):
+        # no monkeypatch: numpy's BLAS on one thread leaves every core free,
+        # so --threads 2 starts two real workers, each pinning its LAPACK
+        cores = len(os.sched_getaffinity(0))
+        if _blas.numpy_blas_threads() is None or cores < 2:
+            pytest.skip("needs numpy's OpenBLAS thread query and two usable cores")
+        script = (
+            "import sys; from serieslm import cli, mc; "
+            "sim = ['simulate', '--reps', '3', '--n', '150', '--a-min', '4', "
+            "'--a-max', '5', '--hypotheses', 'null,alternative', '--bootstrap', "
+            "'19', '--variants', 'ols_short,fgls_long,wild_bootstrap,"
+            "data_driven_cp', '--seed', '13']; "
+            "assert cli.main(sim + ['--threads', '1', '--out', sys.argv[1]]) == 0; "
+            "assert 'concurrent.futures.process' not in sys.modules; "
+            "assert cli.main(sim + ['--threads', '2', '--out', sys.argv[2]]) == 0; "
+            "assert 'concurrent.futures.process' in sys.modules; "
+            "print(tuple(mc.worker_plan(2)))")
+        src = Path(mc.__file__).resolve().parents[1]
+        out = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "one"), str(tmp_path / "two")],
+            env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+            capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        assert out.stderr == ""  # no "fewer workers" line
+        assert out.stdout.splitlines()[-1] == str((2, 1, cores))
+        for suffix in (".csv", ".dat"):
+            assert (tmp_path / ("two" + suffix)).read_bytes() == \
+                (tmp_path / ("one" + suffix)).read_bytes()
 
     def test_cli_import_leaves_the_pool_unloaded(self):
         src = Path(mc.__file__).resolve().parents[1]

@@ -1,5 +1,7 @@
 """Model-size selection and the data-driven test composition."""
 
+import contextlib
+import gc
 import math
 
 import numpy as np
@@ -9,7 +11,7 @@ import scipy.stats
 from serieslm import mc, tuning
 from serieslm.design import simulation_design
 from serieslm.distributions import chisq_quantile
-from serieslm.errors import SingularMomentMatrixError
+from serieslm.errors import RankDeficiencyError, SingularMomentMatrixError
 from serieslm.mc import DgpSpec, McConfig, gen_sample, run_mc
 from serieslm.lmtest import VarianceWeights, lm_statistic, run_test
 from serieslm.regress import ols_fit, residualize_block
@@ -270,6 +272,32 @@ class TestDataDrivenDecisions:
         self.inject(monkeypatch, 21)  # a = 7, the selected null size
         with pytest.raises(SingularMomentMatrixError, match="injected"):
             data_driven_decisions(y, x1, x2, self.GRID)
+
+    @pytest.mark.parametrize("r_n", [19, 21], ids=["ignored", "raised"])
+    def test_failure_leaves_no_reference_cycles(self, monkeypatch, r_n):
+        # a stored exception's traceback would keep its candidate's design
+        # alive in a cycle that only the cyclic collector frees
+        y, x1, x2 = gen_sample(DgpSpec(400, "alternative", seed=2))
+        self.inject(monkeypatch, r_n)
+        gc.collect()
+        gc.disable()
+        try:
+            with contextlib.suppress(SingularMomentMatrixError):
+                data_driven_decisions(y, x1, x2, self.GRID)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_raised_failure_keeps_its_type_and_attributes(self, monkeypatch):
+        y, x1, x2 = gen_sample(DgpSpec(400, "alternative", seed=2))
+
+        def failing(residuals, z_resid, weights):
+            raise RankDeficiencyError("injected", columns=["z1"])
+
+        monkeypatch.setattr(tuning, "lm_statistic", failing)
+        with pytest.raises(RankDeficiencyError, match="injected") as info:
+            data_driven_decisions(y, x1, x2, self.GRID)
+        assert info.value.columns == ["z1"]
 
     def test_failure_at_a_selected_candidate_drops_the_replication(self, monkeypatch):
         config = McConfig(replications=3, n_values=(120,), a_values=(4, 5),
