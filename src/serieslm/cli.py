@@ -20,7 +20,8 @@ import numpy as np
 
 from ._blas import single_threaded_lapack
 from .bootstrap import MULTIPLIERS, wild_bootstrap
-from .design import ModelSpec, build_partially_linear, screen_collinear
+from .design import (MODEL, REQUIRED, ModelSpec, build_partially_linear, check_json,
+                     screen_collinear)
 from .errors import (
     DesignError,
     InputError,
@@ -29,7 +30,7 @@ from .errors import (
     SingularMomentMatrixError,
 )
 from .lmtest import VARIANTS, run_test
-from .mc import MC_VARIANTS, McConfig, emit_report, run_mc
+from .mc import MC_VARIANTS, McConfig, check_alphas, emit_report, run_mc
 from .tuning import CRITERIA, TuningGrid, data_driven_test
 
 __all__ = ["Dataset", "load_csv", "main"]
@@ -98,37 +99,14 @@ def load_csv(path) -> Dataset:
     return Dataset(columns=cols, n=n, source=str(path))
 
 
-# The `test` config, one table per JSON object: key -> (JSON type, default).
-# A float key also takes an integer; a boolean is never a number.
-_CONFIG = {"y": (str, None), "model": (dict, None), "variant": (str, "ols_short"),
-           "alpha": (list, [0.05]), "bootstrap": (dict, {}), "tuning": (dict, {}),
+# The `test` config: key -> (kind, default), as ``design.check_json`` reads it.
+_CONFIG = {"y": (str, None), "model": (MODEL, REQUIRED), "variant": (str, "ols_short"),
+           "alpha": ([float], [0.05]),
+           "bootstrap": ({"enabled": (bool, False), "draws": (int, 399),
+                          "dist": (str, "rademacher")}, {}),
+           "tuning": ({"enabled": (bool, False), "a_min": (int, 4), "a_max": (int, 8),
+                       "criterion": (str, "cp"), "c": (float, 3.0)}, {}),
            "rescale": (bool, False), "seed": (int, 0)}
-_BOOTSTRAP = {"enabled": (bool, False), "draws": (int, 399), "dist": (str, "rademacher")}
-_TUNING = {"enabled": (bool, False), "a_min": (int, 4), "a_max": (int, 8),
-           "criterion": (str, "cp"), "c": (float, 3.0)}
-_JSON_TYPE = {dict: "an object", list: "an array", str: "a string", int: "an integer",
-              float: "a number", bool: "a boolean", type(None): "null"}
-
-
-def _is(value, kind: type) -> bool:
-    if isinstance(value, bool):
-        return kind is bool
-    return isinstance(value, (int, float) if kind is float else kind)
-
-
-def _checked(section: dict, schema: dict, prefix: str = "") -> dict:
-    """``section`` with every ``schema`` key type-checked or filled with its default."""
-    unknown = [repr(prefix + key) for key in section if key not in schema]
-    if unknown:
-        raise InputError(f"unknown config key(s): {', '.join(unknown)}")
-    out = {}
-    for key, (kind, default) in schema.items():
-        value = section.get(key, default)
-        if key in section and not _is(value, kind):
-            raise InputError(f"config key {prefix + key!r} must be {_JSON_TYPE[kind]}, "
-                             f"not {_JSON_TYPE[type(value)]}")
-        out[key] = float(value) if kind is float else value
-    return out
 
 
 def _load_config(path) -> dict:
@@ -139,9 +117,7 @@ def _load_config(path) -> dict:
         raise InputError(f"cannot open config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise InputError(f"config {path} must be a JSON object, not {_JSON_TYPE[type(cfg)]}")
-    return _checked(cfg, _CONFIG)
+    return check_json(cfg, _CONFIG)
 
 
 def _rescale_columns(dataset: Dataset, names) -> Dataset:
@@ -171,19 +147,13 @@ def _write_json(path, payload):
 
 def cmd_test(args) -> int:
     cfg = _load_config(args.config)
-    boot = _checked(cfg["bootstrap"], _BOOTSTRAP, "bootstrap.")
-    tune = _checked(cfg["tuning"], _TUNING, "tuning.")
-    if cfg["model"] is None:
-        raise InputError("config must contain a 'model' section")
-    try:
-        model = ModelSpec.from_dict(cfg["model"])
-    except ValueError as exc:
-        raise InputError(f"bad model config: {exc}") from exc
+    boot, tune = cfg["bootstrap"], cfg["tuning"]
+    model = ModelSpec.from_dict(cfg["model"])
 
     # flags override the checked config; every rule below runs before the data is read
     y_name = args.y or cfg["y"]
     variant = args.variant or cfg["variant"]
-    levels = tuple(args.alpha or cfg["alpha"])
+    levels = check_alphas(args.alpha or cfg["alpha"])
     draws = boot["draws"] if args.bootstrap is None else args.bootstrap
     bootstrap = boot["enabled"] if args.bootstrap is None else args.bootstrap != 0
     dist = args.dist or boot["dist"]
@@ -192,8 +162,6 @@ def cmd_test(args) -> int:
         raise InputError("name the response column via config 'y' or --y")
     if variant not in VARIANTS:
         raise InputError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    if not all(_is(a, float) and 0.0 < a < 1.0 for a in levels):
-        raise InputError(f"alpha levels must be numbers in (0, 1), not {list(levels)}")
     if seed < 0:
         raise InputError(f"seed must be >= 0, not {seed}")
     if dist not in MULTIPLIERS:
@@ -327,7 +295,7 @@ def _run_tuned(dataset, y_name, x1, x2, family, grid, criterion, levels,
 
 def cmd_tune(args) -> int:
     grid = TuningGrid(tuple(range(args.a_min, args.a_max + 1)), args.c)
-    levels = tuple(args.alpha) if args.alpha else (0.05,)
+    levels = check_alphas(args.alpha or (0.05,))
     return _run_tuned(load_csv(args.data), args.y, args.x1, args.x2, args.family,
                       grid, args.criterion, levels, args.out)
 

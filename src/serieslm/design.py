@@ -38,13 +38,56 @@ __all__ = [
 ]
 
 RECIPES = ("full_tensor", "restricted_tensor", "additive_only", "custom")
-# The keys of the JSON model object (``ModelSpec.from_dict``), one tuple per level.
-_MODEL_KEYS = ("linear_vars", "series_vars", "alternative")
-_ALTERNATIVE_KEYS = ("recipe", "basis", "custom_terms")
-_BASIS_KEYS = ("var", "family", "a", "spline_order")
 # Fewest univariate terms a_n the simulation design accepts; the data-driven
 # tuning grids, which build that design for every candidate, share it.
 SIMULATION_A_MIN = 4
+
+REQUIRED = object()  # the default of a key that a JSON object must give
+_JSON_TYPE = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+              float: "a number", bool: "a boolean", type(None): "null"}
+# The JSON model object of ``ModelSpec.from_dict``, as ``check_json`` reads it.
+_BASIS = {"var": (str, REQUIRED), "family": (str, "power"), "a": (int, REQUIRED),
+          "spline_order": (int, 3)}
+MODEL = {"linear_vars": ([str], []), "series_vars": ([_BASIS], []),
+         "alternative": ({"recipe": (str, "restricted_tensor"), "basis": ([_BASIS], []),
+                          "custom_terms": ([str], [])}, {})}
+
+
+def _where(path: str):
+    """(section, key): ``"model.series_vars[0].a"`` -> ``("model", "series_vars[0].a")``."""
+    section, dot, key = path.partition(".")
+    return (section, key) if dot else ("config", path)
+
+
+def check_json(value, kind, path: str = ""):
+    """``value`` held to ``kind``, with each key it leaves out set to its default.
+
+    A kind is a JSON type (a float also takes an integer; a boolean is never a
+    number), a table ``{key: (kind, default)}`` or ``[kind]`` for an array of
+    it.  A None default leaves the key None; ``REQUIRED`` makes it mandatory.
+    Errors name the key by its ``path``, e.g. ``model key 'series_vars[0].a'``.
+    """
+    json_type = dict if isinstance(kind, dict) else list if isinstance(kind, list) else kind
+    if value is REQUIRED or isinstance(value, bool) != (json_type is bool) or not isinstance(
+            value, (int, float) if json_type is float else json_type):
+        section, key = _where(path)
+        name = f"{section} key {key!r}" if key else section
+        if value is REQUIRED:
+            raise ValueError(f"missing {name}")
+        raise ValueError(f"{name} must be {_JSON_TYPE[json_type]}, not "
+                         f"{_JSON_TYPE.get(type(value), type(value).__name__)}")
+    if json_type is list:
+        return [check_json(item, kind[0], f"{path}[{i}]") for i, item in enumerate(value)]
+    if json_type is not dict:
+        return float(value) if kind is float else value
+    prefix = f"{path}." if path else ""
+    unknown = [_where(prefix + key) for key in value if key not in kind]
+    if unknown:
+        raise ValueError(f"unknown {unknown[0][0]} key(s): "
+                         + ", ".join(repr(key) for _, key in unknown))
+    return {key: None if key not in value and default is None
+            else check_json(value.get(key, default), sub, prefix + key)
+            for key, (sub, default) in kind.items()}
 
 
 @dataclass(frozen=True)
@@ -130,36 +173,16 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
-        """The spec of a JSON ``model`` object; an unknown key anywhere is an error naming it."""
-        def _section(obj, keys, where):
-            if not isinstance(obj, dict):
-                raise TypeError(f"{where.rstrip('.') or 'model'} must be an object")
-            unknown = [repr(where + key) for key in obj if key not in keys]
-            if unknown:
-                raise ValueError(f"unknown model key(s): {', '.join(unknown)}")
-            return obj
+        """The spec of a JSON ``model`` object, held to ``MODEL`` first."""
+        d = check_json(d, MODEL, "model")
+        alt = d["alternative"]
 
-        def _specs(entries, where):
-            for i, entry in enumerate(entries):
-                _section(entry, _BASIS_KEYS, f"{where}[{i}].")
-                yield (entry["var"],
-                       BasisSpec(entry.get("family", "power"), int(entry["a"]),
-                                 int(entry.get("spline_order", 3))))
+        def specs(entries):
+            return [(e["var"], BasisSpec(e["family"], e["a"], e["spline_order"]))
+                    for e in entries]
 
-        try:
-            _section(d, _MODEL_KEYS, "")
-            alt = _section(d.get("alternative", {}), _ALTERNATIVE_KEYS, "alternative.")
-            return cls(
-                linear_vars=tuple(d.get("linear_vars", ())),
-                series_vars=tuple(_specs(d.get("series_vars", ()), "series_vars")),
-                alternative=AlternativeSpec(
-                    recipe=alt.get("recipe", "restricted_tensor"),
-                    basis=tuple(_specs(alt.get("basis", ()), "alternative.basis")),
-                    custom_terms=tuple(alt.get("custom_terms", ())),
-                ),
-            )
-        except (AttributeError, KeyError, TypeError) as exc:
-            raise ValueError(f"wrong shape ({type(exc).__name__}: {exc})") from None
+        return cls(d["linear_vars"], specs(d["series_vars"]),
+                   AlternativeSpec(alt["recipe"], specs(alt["basis"]), alt["custom_terms"]))
 
 
 @dataclass(frozen=True)

@@ -126,6 +126,14 @@ def gen_sample(spec: DgpSpec, rng: np.random.Generator = None,
     return y, x1, x2
 
 
+def check_alphas(levels) -> tuple:
+    """``levels`` as a tuple of floats: at least one, each a test level in (0, 1)."""
+    levels = tuple(levels)
+    if not levels or not all(0.0 < a < 1.0 for a in levels):
+        raise ValueError(f"alpha levels must be numbers in (0, 1), not {list(levels)}")
+    return tuple(float(a) for a in levels)
+
+
 @dataclass(frozen=True)
 class McConfig:
     """Full description of a Monte Carlo run."""
@@ -147,21 +155,20 @@ class McConfig:
             raise ValueError("need at least one replication")
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, not {self.threads}")
-        for v in self.variants:
-            if v not in MC_VARIANTS:
-                raise ValueError(f"unknown variant {v!r}; known: {MC_VARIANTS}")
-        for f in self.families:
-            if f not in _FAMILY_CODE:
-                raise ValueError(f"unknown family {f!r}")
-        for h in self.hypotheses:
-            if h not in HYPOTHESES:
-                raise ValueError(f"unknown hypothesis {h!r}")
+        known = {"families": tuple(_FAMILY_CODE), "variants": MC_VARIANTS,
+                 "hypotheses": HYPOTHESES}
+        for name in ("n_values", "a_values", "families", "variants", "hypotheses",
+                     "alphas"):
+            values = tuple(getattr(self, name))
+            if not values:
+                raise ValueError(f"{name} is empty: the run would have no cells")
+            unknown = [v for v in values if name in known and v not in known[name]]
+            if unknown:
+                raise ValueError(f"unknown {name} {unknown}; known: {known[name]}")
+            object.__setattr__(self, name, values)
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
         object.__setattr__(self, "a_values", tuple(int(a) for a in self.a_values))
-        object.__setattr__(self, "families", tuple(self.families))
-        object.__setattr__(self, "variants", tuple(self.variants))
-        object.__setattr__(self, "hypotheses", tuple(self.hypotheses))
-        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
+        object.__setattr__(self, "alphas", check_alphas(self.alphas))
 
 
 @dataclass(frozen=True)

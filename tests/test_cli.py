@@ -2,14 +2,18 @@
 
 import contextlib
 import gc
+import itertools
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from serieslm import cli, mc
+from serieslm.basis import BasisSpec
 from serieslm.cli import Dataset, load_csv, main
+from serieslm.design import AlternativeSpec, ModelSpec
 from serieslm.errors import InputError
 from serieslm.mc import DgpSpec, gen_sample
 
@@ -45,23 +49,29 @@ def write_gasoline_csv(path, n=250, seed=7):
     return path
 
 
-def sim_config(path, **extra):
-    cfg = {
-        "y": "y",
-        "model": {
-            "linear_vars": ["x1"],
-            "series_vars": [{"var": "x2", "family": "power", "a": 5}],
-            "alternative": {
-                "recipe": "restricted_tensor",
-                "basis": [
-                    {"var": "x1", "family": "power", "a": 5},
-                    {"var": "x2", "family": "power", "a": 5},
-                ],
-            },
+def sim_model():
+    return {
+        "linear_vars": ["x1"],
+        "series_vars": [{"var": "x2", "family": "power", "a": 5}],
+        "alternative": {
+            "recipe": "restricted_tensor",
+            "basis": [
+                {"var": "x1", "family": "power", "a": 5},
+                {"var": "x2", "family": "power", "a": 5},
+            ],
         },
-        "alpha": [0.05],
-        "seed": 17,
     }
+
+
+def model_edit(edit):
+    """The model of ``sim_config`` with ``edit`` applied to it."""
+    model = sim_model()
+    edit(model)
+    return model
+
+
+def sim_config(path, **extra):
+    cfg = {"y": "y", "model": sim_model(), "alpha": [0.05], "seed": 17}
     cfg.update(extra)
     path.write_text(json.dumps(cfg))
     return path
@@ -193,35 +203,56 @@ class TestCmdTest:
         assert "bootstrap" in captured.err
         assert not out.exists()
 
-    @pytest.mark.parametrize("extra,flags", [
-        ({"alpha": 0.05}, []),
-        ({"model": []}, []),
-        ({"model": {"linear_vars": ["x1"], "alternative": "restricted_tensor"}}, []),
-        ({"bootstrap": [1]}, []),
+    @pytest.mark.parametrize("extra,flags,named", [
+        ({"alpha": 0.05}, [], "config key 'alpha'"),
+        ({"alpha": []}, [], "alpha levels must be numbers in (0, 1), not []"),
+        ({"model": []}, [], "config key 'model'"),
+        ({"model": {"linear_vars": ["x1"], "alternative": "restricted_tensor"}}, [],
+         "model key 'alternative'"),
+        ({"bootstrap": [1]}, [], "config key 'bootstrap'"),
         ({"model": {"linear_vars": ["x1"],
-                    "alternative": {"recipe": "custom", "custom_terms": [5]}}}, []),
-        ({}, ["--bootstrap", "-5"]),
-        ({"seed": [1]}, []),
-        ({"screen_tol": [1]}, []),
-        ({"tuning": {"enabled": True, "a_min": [4]}}, []),
-        ({"bootstrap": {"enabled": True, "draws": [19]}}, []),
-        (5, []),
-        ({"tuning": {"enabled": "false"}}, []),
-        ({"bootstrap": {"enabled": "false"}}, []),
-        ({"rescale": "false"}, []),
-        ({"bootstrap": {"enabled": True, "draws": 0}}, []),
-        ({"bootstrap": {"enabled": True, "dist": "normal"}}, []),
-        ({"seed": -1, "bootstrap": {"enabled": True}}, []),
-        ({"alpah": [0.1]}, []),
-        ({"tuning": {"enabled": True, "a_min": 0}}, []),
-    ], ids=["alpha-scalar", "model-list", "alternative-string", "bootstrap-list",
-            "custom-term-number", "negative-bootstrap-flag", "seed-list",
+                    "alternative": {"recipe": "custom", "custom_terms": [5]}}}, [],
+         "model key 'alternative.custom_terms[0]'"),
+        ({}, ["--bootstrap", "-5"], "bootstrap draws"),
+        ({"seed": [1]}, [], "config key 'seed'"),
+        ({"screen_tol": [1]}, [], "unknown config key(s): 'screen_tol'"),
+        ({"tuning": {"enabled": True, "a_min": [4]}}, [], "tuning key 'a_min'"),
+        ({"bootstrap": {"enabled": True, "draws": [19]}}, [], "bootstrap key 'draws'"),
+        (5, [], "config must be an object"),
+        ({"tuning": {"enabled": "false"}}, [], "tuning key 'enabled'"),
+        ({"bootstrap": {"enabled": "false"}}, [], "bootstrap key 'enabled'"),
+        ({"rescale": "false"}, [], "config key 'rescale'"),
+        ({"bootstrap": {"enabled": True, "draws": 0}}, [], "bootstrap draws"),
+        ({"bootstrap": {"enabled": True, "dist": "normal"}}, [], "'normal'"),
+        ({"seed": -1, "bootstrap": {"enabled": True}}, [], "seed"),
+        ({"alpah": [0.1]}, [], "unknown config key(s): 'alpah'"),
+        ({"tuning": {"enabled": True, "a_min": 0}}, [], "grid candidates"),
+        # the model section is held to its JSON types like the rest: an
+        # integer key took a boolean, a float or a string, and an array key a
+        # string, which a loop then split into one-letter names
+        *[({"model": model_edit(edit)}, [], f"model key {key!r}") for key, edit in [
+            ("series_vars[0].a", lambda m: m["series_vars"][0].update(a=4.7)),
+            ("series_vars[0].a", lambda m: m["series_vars"][0].update(a="4")),
+            ("series_vars[0].a", lambda m: m["series_vars"][0].update(a=True)),
+            ("series_vars[0].spline_order",
+             lambda m: m["series_vars"][0].update(spline_order=3.9)),
+            ("linear_vars", lambda m: m.update(linear_vars="x1")),
+            ("alternative.custom_terms",
+             lambda m: m.update(alternative={"recipe": "custom",
+                                             "custom_terms": "x1*x2"})),
+            ("series_vars[0].var", lambda m: m["series_vars"][0].update(var=7)),
+            ("alternative.basis[1].a", lambda m: m["alternative"]["basis"][1].pop("a")),
+        ]],
+    ], ids=["alpha-scalar", "alpha-empty", "model-list", "alternative-string",
+            "bootstrap-list", "custom-term-number", "negative-bootstrap-flag", "seed-list",
             "screen-tol", "tuning-a-min-list", "bootstrap-draws-list", "bare-number",
             "tuning-enabled-string", "bootstrap-enabled-string", "rescale-string",
             "bootstrap-zero-draws", "bootstrap-dist-normal", "negative-seed",
-            "misspelled-key", "tuning-a-min-zero"])
+            "misspelled-key", "tuning-a-min-zero", "a-float", "a-string", "a-boolean",
+            "spline-order-float", "linear-vars-string", "custom-terms-string",
+            "var-number", "basis-without-a"])
     def test_malformed_config_is_input_error(self, tmp_path, capsys, monkeypatch,
-                                             extra, flags):
+                                             extra, flags, named):
         data = write_sim_csv(tmp_path / "d.csv")
         cfg = tmp_path / "c.json"
         if isinstance(extra, dict):
@@ -236,6 +267,7 @@ class TestCmdTest:
         captured = capsys.readouterr()
         assert code == 2
         assert "input error" in captured.err
+        assert named in captured.err
         assert captured.out == ""
         assert loaded == [] and not out.exists()
 
@@ -315,6 +347,47 @@ class TestCmdTest:
         assert (payload["m_n"], payload["k_n"], payload["r_n"]) == (21, 110, 89)
 
 
+class TestConfigDocs:
+    """The README's config block and the shipped recipe, read as ``test`` reads them."""
+
+    @staticmethod
+    def readme_config():
+        readme = (CONFIG_DIR.parent / "README.md").read_text()
+        block = re.search(r"Config shape:\n\n```json\n(.*?)```", readme, re.S)
+        return json.loads(block.group(1))
+
+    def test_readme_block_shows_the_defaults(self, tmp_path):
+        shown = self.readme_config()
+        minimal = tmp_path / "minimal.json"
+        minimal.write_text(json.dumps({"y": shown["y"], "model": shown["model"]}))
+        full = tmp_path / "full.json"
+        full.write_text(json.dumps(shown))
+        filled = cli._load_config(minimal)
+        assert filled == cli._load_config(full)
+        assert {**filled, "model": shown["model"]} == shown
+
+    def test_gasoline_recipe_is_the_documented_model(self):
+        # the README: cubic in age, linear in everything else; the alternative
+        # holds the own powers and pairwise products of the continuous
+        # variables plus all their 3-, 4- and 5-way linear interactions
+        powers = {"age": 3, "price": 3, "income": 3, "drivers": 2, "hhsize": 2}
+        own = {v: [v if p == 1 else f"{v}^{p}" for p in range(1, top + 1)]
+               for v, top in powers.items()}
+        terms = [t for v in powers for t in own[v]]
+        terms += [f"{t1}*{t2}" for v1, v2 in itertools.combinations(powers, 2)
+                  for t1 in own[v1] for t2 in own[v2]]
+        terms += ["*".join(vs) for k in (3, 4, 5)
+                  for vs in itertools.combinations(powers, k)]
+        expected = ModelSpec(
+            linear_vars=("price", "income", "drivers", "hhsize", "urban", "youngsingle",
+                         *(f"month{m}" for m in range(2, 13))),
+            series_vars=(("age", BasisSpec("power", 4)),),
+            alternative=AlternativeSpec(recipe="custom", custom_terms=tuple(terms)),
+        )
+        cfg = cli._load_config(CONFIG_DIR / "gasoline_age.json")
+        assert ModelSpec.from_dict(cfg["model"]) == expected
+
+
 class TestCmdTune:
     def test_tune_selects_cubic_truth(self, tmp_path, capsys):
         # Cp picks the cubic on a typical draw (selection is noisy by nature,
@@ -386,6 +459,18 @@ class TestCmdTune:
                      "--x1", "x1", "--x2", "x2", "--a-min", "2"])
         assert code == 2
         assert "grid candidates must be >= 4" in capsys.readouterr().err
+        assert loaded == []
+
+    @pytest.mark.parametrize("alpha", ["1.5", "0", "1", "-0.05", "nan"])
+    def test_alpha_outside_unit_interval_rejected_before_data(
+            self, tmp_path, capsys, monkeypatch, alpha):
+        # alpha = 1.5 used to read the CSV and fit the whole grid first
+        loaded = []
+        monkeypatch.setattr(cli, "load_csv", lambda path: loaded.append(path))
+        code = main(["tune", "--data", str(tmp_path / "d.csv"), "--y", "y",
+                     "--x1", "x1", "--x2", "x2", "--alpha", "0.05", "--alpha", alpha])
+        assert code == 2
+        assert "alpha levels must be numbers in (0, 1)" in capsys.readouterr().err
         assert loaded == []
 
 
@@ -531,6 +616,23 @@ class TestCmdSimulate:
         assert main(["simulate", "--reps", "2", "--threads", threads,
                      "--out", str(tmp_path / "x")]) == 2
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("flags,named", [
+        (["--alpha", "0"], "alpha levels must be numbers in (0, 1)"),
+        (["--alpha", "0.05", "--alpha", "1.5"], "alpha levels must be numbers in (0, 1)"),
+        (["--a-min", "6", "--a-max", "5"], "a_values is empty"),
+    ], ids=["alpha-zero", "alpha-above-one", "empty-a-range"])
+    def test_bad_axis_rejected_before_any_cell(self, tmp_path, capsys, monkeypatch,
+                                               flags, named):
+        # each used to start the cells: an empty a_n range wrote a header-only
+        # CSV and exited 0
+        started = []
+        monkeypatch.setattr(cli, "run_mc", started.append)
+        code = main(["simulate", "--reps", "2", "--out", str(tmp_path / "x")] + flags)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert named in captured.err and captured.out == ""
+        assert started == [] and not (tmp_path / "x.csv").exists()
 
 
 class TestHelp:

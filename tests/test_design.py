@@ -231,6 +231,15 @@ class TestBuildPartiallyLinear:
         with pytest.raises(ValueError, match=re.escape(f"unknown model key(s): {name}")):
             ModelSpec.from_dict(d)
 
+    @pytest.mark.parametrize("key", ["a", "var"])
+    def test_from_dict_names_missing_required_key(self, key):
+        d = {"linear_vars": ["p"], "series_vars": [{"var": "q", "a": 5}],
+             "alternative": {"recipe": "custom", "custom_terms": ["p*q"]}}
+        del d["series_vars"][0][key]
+        with pytest.raises(ValueError,
+                           match=re.escape(f"missing model key 'series_vars[0].{key}'")):
+            ModelSpec.from_dict(d)
+
 
 class TestParseTerm:
     def test_merges_and_sorts_factors(self):

@@ -124,6 +124,18 @@ class TestRunMc:
         with pytest.raises(ValueError):
             tiny_config(variants=("ols_shortest",))
 
+    @pytest.mark.parametrize("name", ["n_values", "a_values", "families", "variants",
+                                      "hypotheses", "alphas"])
+    def test_empty_axis_rejected_by_name(self, name):
+        # an empty axis used to run no cells and write a header-only CSV
+        with pytest.raises(ValueError, match=f"^{name} is empty"):
+            tiny_config(**{name: ()})
+
+    @pytest.mark.parametrize("alphas", [(0.0,), (0.05, 1.0), (1.5,), (float("nan"),)])
+    def test_alpha_outside_unit_interval_rejected(self, alphas):
+        with pytest.raises(ValueError, match="alpha levels must be numbers in"):
+            tiny_config(alphas=alphas)
+
     def test_mean_statistic_recorded(self):
         report = run_mc(tiny_config(replications=10, hypotheses=("null",)))
         assert np.isfinite(report.mean_statistic("ols_short", "power", 120, 4,
