@@ -104,8 +104,6 @@ _CONFIG = {"y": (str, None), "model": (MODEL, REQUIRED), "variant": (str, "ols_s
            "alpha": ([float], [0.05]),
            "bootstrap": ({"enabled": (bool, False), "draws": (int, 399),
                           "dist": (str, "rademacher")}, {}),
-           "tuning": ({"enabled": (bool, False), "a_min": (int, 4), "a_max": (int, 8),
-                       "criterion": (str, "cp"), "c": (float, 3.0)}, {}),
            "rescale": (bool, False), "seed": (int, 0)}
 
 
@@ -147,7 +145,7 @@ def _write_json(path, payload):
 
 def cmd_test(args) -> int:
     cfg = _load_config(args.config)
-    boot, tune = cfg["bootstrap"], cfg["tuning"]
+    boot = cfg["bootstrap"]
     model = ModelSpec.from_dict(cfg["model"])
 
     # flags override the checked config; every rule below runs before the data is read
@@ -168,25 +166,14 @@ def cmd_test(args) -> int:
         raise InputError(f"unknown bootstrap dist {dist!r}; expected one of {MULTIPLIERS}")
     if bootstrap and draws < 1:
         raise InputError(f"bootstrap draws must be >= 1 (0 disables), not {draws}")
-    if bootstrap and (tune["enabled"] or variant != "ols_short"):
-        raise InputError("the wild bootstrap is defined for the ols_short variant "
-                         "without tuning only")
-    if tune["enabled"]:
-        x1, x2, family = _canonical_pl_roles(model)
-        grid = TuningGrid(tuple(range(tune["a_min"], tune["a_max"] + 1)), tune["c"])
-        if tune["criterion"] not in CRITERIA:
-            raise InputError(f"unknown criterion {tune['criterion']!r}; "
-                             f"expected one of {CRITERIA}")
+    if bootstrap and variant != "ols_short":
+        raise InputError("the wild bootstrap is defined for the ols_short variant only")
 
     dataset = load_csv(args.data)
     if y_name not in dataset:
         raise InputError(f"response column {y_name!r} not in dataset")
     if args.rescale or cfg["rescale"]:
         dataset = _rescale_columns(dataset, model.variables)
-
-    if tune["enabled"]:
-        return _run_tuned(dataset, y_name, x1, x2, family, grid, tune["criterion"],
-                          levels, args.out)
 
     y = dataset[y_name]
     pair = build_partially_linear(dataset.columns, model)
@@ -243,23 +230,15 @@ def cmd_test(args) -> int:
     return EXIT_OK
 
 
-def _canonical_pl_roles(model: ModelSpec):
-    if len(model.linear_vars) != 1 or len(model.series_vars) != 1:
-        raise InputError(
-            "tuning needs the canonical partially linear layout: exactly one "
-            "linear variable and one series variable"
-        )
-    return model.linear_vars[0], model.series_vars[0][0], model.series_vars[0][1].family
-
-
-def _run_tuned(dataset, y_name, x1, x2, family, grid, criterion, levels,
-               out_path) -> int:
-    """The data-driven test on dataset columns; shared by ``tune`` and ``test``."""
-    for name in (y_name, x1, x2):
+def cmd_tune(args) -> int:
+    grid = TuningGrid(tuple(range(args.a_min, args.a_max + 1)), args.c)
+    levels = check_alphas(args.alpha or (0.05,))
+    dataset = load_csv(args.data)
+    for name in (args.y, args.x1, args.x2):
         if name not in dataset:
             raise InputError(f"column {name!r} not in dataset")
-    result = data_driven_test(dataset[y_name], dataset[x1], dataset[x2], grid,
-                              family=family, levels=levels, criterion=criterion)
+    result = data_driven_test(dataset[args.y], dataset[args.x1], dataset[args.x2], grid,
+                              family=args.family, levels=levels, criterion=args.criterion)
 
     print(f"criterion = {result.criterion}")
     print("candidates (a, m_n, r_n, rss, statistic):")
@@ -274,11 +253,16 @@ def _run_tuned(dataset, y_name, x1, x2, family, grid, criterion, levels,
         word = "reject" if result.reject[a] else "no rejection"
         print(f"alpha = {a:g}: {word}")
 
-    _write_json(out_path, {
+    _write_json(args.out, {
         "command": "tune",
         "source": dataset.source,
         "n": dataset.n,
+        "y": args.y,
+        "x1": args.x1,
+        "x2": args.x2,
+        "family": args.family,
         "criterion": result.criterion,
+        "c": args.c,
         "selected_a": result.selected_a,
         "selected_r": result.selected_r,
         "r_min": result.r_min,
@@ -291,13 +275,6 @@ def _run_tuned(dataset, y_name, x1, x2, family, grid, criterion, levels,
         ],
     })
     return EXIT_OK
-
-
-def cmd_tune(args) -> int:
-    grid = TuningGrid(tuple(range(args.a_min, args.a_max + 1)), args.c)
-    levels = check_alphas(args.alpha or (0.05,))
-    return _run_tuned(load_csv(args.data), args.y, args.x1, args.x2, args.family,
-                      grid, args.criterion, levels, args.out)
 
 
 def cmd_simulate(args) -> int:

@@ -177,12 +177,20 @@ class ModelSpec:
         d = check_json(d, MODEL, "model")
         alt = d["alternative"]
 
-        def specs(entries):
-            return [(e["var"], BasisSpec(e["family"], e["a"], e["spline_order"]))
-                    for e in entries]
+        def named(key, make, *args):
+            try:
+                return make(*args)
+            except ValueError as exc:
+                raise ValueError(f"model key {key!r}: {exc}") from None
 
-        return cls(d["linear_vars"], specs(d["series_vars"]),
-                   AlternativeSpec(alt["recipe"], specs(alt["basis"]), alt["custom_terms"]))
+        def specs(key, entries):
+            return [(e["var"], named(f"{key}[{i}]", BasisSpec, e["family"], e["a"],
+                                     e["spline_order"]))
+                    for i, e in enumerate(entries)]
+
+        return cls(d["linear_vars"], specs("series_vars", d["series_vars"]),
+                   named("alternative", AlternativeSpec, alt["recipe"],
+                         specs("alternative.basis", alt["basis"]), alt["custom_terms"]))
 
 
 @dataclass(frozen=True)

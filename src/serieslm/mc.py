@@ -76,6 +76,8 @@ CSV_HEADER = "variant,family,n,a_n,hypothesis,alpha,reject_rate,mc_se,M,seed"
 TUNING_C = 3.0
 # A cell with more failed replications than this fraction is an error.
 MAX_FAILURE_FRAC = 0.01
+# Smallest simulated sample; McConfig holds every n it runs to it.
+MIN_SAMPLE_SIZE = 50
 
 
 @dataclass(frozen=True)
@@ -87,8 +89,8 @@ class DgpSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 50:
-            raise ValueError("sample size must be at least 50")
+        if self.n < MIN_SAMPLE_SIZE:
+            raise ValueError(f"sample size must be at least {MIN_SAMPLE_SIZE}")
         if self.hypothesis not in HYPOTHESES:
             raise ValueError(f"hypothesis must be one of {HYPOTHESES}")
 
@@ -167,6 +169,10 @@ class McConfig:
                 raise ValueError(f"unknown {name} {unknown}; known: {known[name]}")
             object.__setattr__(self, name, values)
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
+        small = [n for n in self.n_values if n < MIN_SAMPLE_SIZE]
+        if small:
+            raise ValueError(f"n_values {small} below the smallest sample size "
+                             f"{MIN_SAMPLE_SIZE}")
         object.__setattr__(self, "a_values", tuple(int(a) for a in self.a_values))
         object.__setattr__(self, "alphas", check_alphas(self.alphas))
 

@@ -5,6 +5,7 @@ import gc
 import itertools
 import json
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -188,8 +189,7 @@ class TestCmdTest:
 
     @pytest.mark.parametrize("extra,flags", [
         ({}, ["--variant", "fgls_long", "--bootstrap", "99"]),
-        ({"tuning": {"enabled": True}}, ["--bootstrap", "99"]),
-    ], ids=["fgls_long", "tuning"])
+    ], ids=["fgls_long"])
     def test_unsupported_bootstrap_rejected_before_any_output(
             self, tmp_path, capsys, extra, flags):
         data = write_sim_csv(tmp_path / "d.csv")
@@ -216,17 +216,15 @@ class TestCmdTest:
         ({}, ["--bootstrap", "-5"], "bootstrap draws"),
         ({"seed": [1]}, [], "config key 'seed'"),
         ({"screen_tol": [1]}, [], "unknown config key(s): 'screen_tol'"),
-        ({"tuning": {"enabled": True, "a_min": [4]}}, [], "tuning key 'a_min'"),
+        ({"tuning": {"enabled": True}}, [], "unknown config key(s): 'tuning'"),
         ({"bootstrap": {"enabled": True, "draws": [19]}}, [], "bootstrap key 'draws'"),
         (5, [], "config must be an object"),
-        ({"tuning": {"enabled": "false"}}, [], "tuning key 'enabled'"),
         ({"bootstrap": {"enabled": "false"}}, [], "bootstrap key 'enabled'"),
         ({"rescale": "false"}, [], "config key 'rescale'"),
         ({"bootstrap": {"enabled": True, "draws": 0}}, [], "bootstrap draws"),
         ({"bootstrap": {"enabled": True, "dist": "normal"}}, [], "'normal'"),
         ({"seed": -1, "bootstrap": {"enabled": True}}, [], "seed"),
         ({"alpah": [0.1]}, [], "unknown config key(s): 'alpah'"),
-        ({"tuning": {"enabled": True, "a_min": 0}}, [], "grid candidates"),
         # the model section is held to its JSON types like the rest: an
         # integer key took a boolean, a float or a string, and an array key a
         # string, which a loop then split into one-letter names
@@ -243,14 +241,28 @@ class TestCmdTest:
             ("series_vars[0].var", lambda m: m["series_vars"][0].update(var=7)),
             ("alternative.basis[1].a", lambda m: m["alternative"]["basis"][1].pop("a")),
         ]],
+        # a value of the right type that the model does not allow is named too
+        *[({"model": model_edit(edit)}, [], f"model key {key!r}: {message}")
+          for key, edit, message in [
+            ("alternative.basis[1]",
+             lambda m: m["alternative"]["basis"][1].update(family="splin"),
+             "unknown basis family 'splin'"),
+            ("series_vars[0]", lambda m: m["series_vars"][0].update(a=0),
+             "basis size a must be >= 1"),
+            ("series_vars[0]", lambda m: m["series_vars"][0].update(family="spline", a=3),
+             "spline basis needs a >= s + 1"),
+            ("alternative", lambda m: m["alternative"].update(recipe="full_tensr"),
+             "unknown alternative recipe 'full_tensr'"),
+        ]],
     ], ids=["alpha-scalar", "alpha-empty", "model-list", "alternative-string",
             "bootstrap-list", "custom-term-number", "negative-bootstrap-flag", "seed-list",
-            "screen-tol", "tuning-a-min-list", "bootstrap-draws-list", "bare-number",
-            "tuning-enabled-string", "bootstrap-enabled-string", "rescale-string",
+            "screen-tol", "tuning-section", "bootstrap-draws-list", "bare-number",
+            "bootstrap-enabled-string", "rescale-string",
             "bootstrap-zero-draws", "bootstrap-dist-normal", "negative-seed",
-            "misspelled-key", "tuning-a-min-zero", "a-float", "a-string", "a-boolean",
+            "misspelled-key", "a-float", "a-string", "a-boolean",
             "spline-order-float", "linear-vars-string", "custom-terms-string",
-            "var-number", "basis-without-a"])
+            "var-number", "basis-without-a", "family-unknown", "a-zero",
+            "spline-a-below-order", "recipe-unknown"])
     def test_malformed_config_is_input_error(self, tmp_path, capsys, monkeypatch,
                                              extra, flags, named):
         data = write_sim_csv(tmp_path / "d.csv")
@@ -366,6 +378,21 @@ class TestConfigDocs:
         assert filled == cli._load_config(full)
         assert {**filled, "model": shown["model"]} == shown
 
+    def test_readme_commands_parse(self):
+        # every `serieslm ...` command in the README's bash blocks, its
+        # backslash continuations joined, names real subcommands and flags
+        readme = (CONFIG_DIR.parent / "README.md").read_text()
+        blocks = re.findall(r"```bash\n(.*?)```", readme, re.S)
+        lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line)[1:] for line in lines
+                    if line.startswith("serieslm ")]
+        assert sorted({argv[0] for argv in commands}) == ["simulate", "test", "tune"]
+        for argv in commands:
+            try:
+                cli._build_parser().parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README command does not parse: serieslm {shlex.join(argv)}")
+
     def test_gasoline_recipe_is_the_documented_model(self):
         # the README: cubic in age, linear in everything else; the alternative
         # holds the own powers and pairwise products of the continuous
@@ -426,30 +453,29 @@ class TestCmdTune:
         assert tuned["statistic"] == pytest.approx(plain["statistic"], rel=1e-12)
         assert tuned["reject"]["0.05"] == plain["reject_chisq"]["0.05"]
 
-    def test_tuned_test_via_config(self, tmp_path):
+    def test_gcv_criterion(self, tmp_path):
         data = write_sim_csv(tmp_path / "d.csv")
-        cfg = sim_config(tmp_path / "c.json",
-                         tuning={"enabled": True, "a_min": 4, "a_max": 6,
-                                 "criterion": "gcv"})
         out = tmp_path / "res.json"
-        assert main(["test", "--data", str(data), "--config", str(cfg),
-                     "--out", str(out)]) == 0
+        assert main(["tune", "--data", str(data), "--y", "y", "--x1", "x1",
+                     "--x2", "x2", "--a-min", "4", "--a-max", "6", "--criterion", "gcv",
+                     "--family", "spline", "--c", "2.5", "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["command"] == "tune"
-        assert payload["criterion"] == "gcv"
+        assert [c["a"] for c in payload["candidates"]] == [4, 5, 6]
+        # the columns, family and penalty are in no config file, so the
+        # result file is the record of what ran
+        ran = {"y": "y", "x1": "x1", "x2": "x2", "family": "spline", "criterion": "gcv",
+               "c": 2.5}
+        assert {key: payload[key] for key in ran} == ran
 
     def test_tuned_test_missing_column_is_input_error(self, tmp_path, capsys):
-        # same exit code as `serieslm tune` on a dataset without the series
-        # variable, not an uncaught KeyError
+        # an input error naming the column, not an uncaught KeyError
         data = tmp_path / "d.csv"
         data.write_text("y,x1,x3\n" + "\n".join(
             f"{i}.5,{i % 7}.25,{i % 5}.0" for i in range(60)) + "\n")
-        cfg = sim_config(tmp_path / "c.json", tuning={"enabled": True})
-        assert main(["test", "--data", str(data), "--config", str(cfg)]) == 2
-        assert "'x2' not in dataset" in capsys.readouterr().err
         assert main(["tune", "--data", str(data), "--y", "y", "--x1", "x1",
                      "--x2", "x2"]) == 2
-
+        assert "'x2' not in dataset" in capsys.readouterr().err
 
     def test_a_min_below_design_minimum_rejected_before_data(
             self, tmp_path, capsys, monkeypatch):
@@ -621,11 +647,12 @@ class TestCmdSimulate:
         (["--alpha", "0"], "alpha levels must be numbers in (0, 1)"),
         (["--alpha", "0.05", "--alpha", "1.5"], "alpha levels must be numbers in (0, 1)"),
         (["--a-min", "6", "--a-max", "5"], "a_values is empty"),
-    ], ids=["alpha-zero", "alpha-above-one", "empty-a-range"])
+        (["--n", "400", "--n", "40"], "n_values [40] below the smallest sample size 50"),
+    ], ids=["alpha-zero", "alpha-above-one", "empty-a-range", "n-below-minimum"])
     def test_bad_axis_rejected_before_any_cell(self, tmp_path, capsys, monkeypatch,
                                                flags, named):
         # each used to start the cells: an empty a_n range wrote a header-only
-        # CSV and exited 0
+        # CSV and exited 0, and n = 40 failed only after every n = 400 cell ran
         started = []
         monkeypatch.setattr(cli, "run_mc", started.append)
         code = main(["simulate", "--reps", "2", "--out", str(tmp_path / "x")] + flags)

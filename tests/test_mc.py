@@ -131,6 +131,15 @@ class TestRunMc:
         with pytest.raises(ValueError, match=f"^{name} is empty"):
             tiny_config(**{name: ()})
 
+    def test_sample_size_below_minimum_rejected_by_name(self):
+        # n = 40 used to fail in its first cell, after every n = 400 cell ran
+        with pytest.raises(ValueError, match=r"^n_values \[40\] below the smallest "
+                                             r"sample size 50"):
+            tiny_config(n_values=(400, 40))
+        with pytest.raises(ValueError, match="sample size must be at least 50"):
+            DgpSpec(49)
+        assert tiny_config(n_values=(50,)).n_values == (50,)
+
     @pytest.mark.parametrize("alphas", [(0.0,), (0.05, 1.0), (1.5,), (float("nan"),)])
     def test_alpha_outside_unit_interval_rejected(self, alphas):
         with pytest.raises(ValueError, match="alpha levels must be numbers in"):
