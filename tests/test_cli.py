@@ -216,7 +216,12 @@ class TestCmdTest:
         ({}, ["--bootstrap", "-5"], "bootstrap draws"),
         ({"seed": [1]}, [], "config key 'seed'"),
         ({"screen_tol": [1]}, [], "unknown config key(s): 'screen_tol'"),
-        ({"tuning": {"enabled": True}}, [], "unknown config key(s): 'tuning'"),
+        # the tuning section is gone: whatever it holds, the key is refused
+        ({"tuning": {"enabled": True, "a_min": [4]}}, [],
+         "unknown config key(s): 'tuning'"),
+        ({"tuning": {"enabled": "false"}}, [], "unknown config key(s): 'tuning'"),
+        ({"tuning": {"enabled": True, "a_min": 0}}, [],
+         "unknown config key(s): 'tuning'"),
         ({"bootstrap": {"enabled": True, "draws": [19]}}, [], "bootstrap key 'draws'"),
         (5, [], "config must be an object"),
         ({"bootstrap": {"enabled": "false"}}, [], "bootstrap key 'enabled'"),
@@ -256,7 +261,8 @@ class TestCmdTest:
         ]],
     ], ids=["alpha-scalar", "alpha-empty", "model-list", "alternative-string",
             "bootstrap-list", "custom-term-number", "negative-bootstrap-flag", "seed-list",
-            "screen-tol", "tuning-section", "bootstrap-draws-list", "bare-number",
+            "screen-tol", "tuning-a-min-list", "tuning-enabled-string",
+            "tuning-a-min-zero", "bootstrap-draws-list", "bare-number",
             "bootstrap-enabled-string", "rescale-string",
             "bootstrap-zero-draws", "bootstrap-dist-normal", "negative-seed",
             "misspelled-key", "a-float", "a-string", "a-boolean",
