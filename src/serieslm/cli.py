@@ -1,7 +1,7 @@
 """Command-line front end: test a dataset, run simulations, tune series sizes.
 
-Configuration comes from a JSON file (key/value with nesting) with flags
-taking precedence; every command is deterministic given --seed.  Exit codes:
+Run settings come from flags; ``test`` reads its model from a JSON file.
+Every command is deterministic given --seed.  Exit codes:
 0 on completion (a rejection is not an error), 2 on input problems, 3 on
 numerical failures.
 """
@@ -31,7 +31,7 @@ from .errors import (
 )
 from .lmtest import VARIANTS, run_test
 from .mc import MC_VARIANTS, McConfig, check_alphas, emit_report, run_mc
-from .tuning import CRITERIA, TuningGrid, data_driven_test
+from .tuning import CRITERIA, PENALTY_C, TuningGrid, data_driven_test
 
 __all__ = ["Dataset", "load_csv", "main"]
 
@@ -100,11 +100,7 @@ def load_csv(path) -> Dataset:
 
 
 # The `test` config: key -> (kind, default), as ``design.check_json`` reads it.
-_CONFIG = {"y": (str, None), "model": (MODEL, REQUIRED), "variant": (str, "ols_short"),
-           "alpha": ([float], [0.05]),
-           "bootstrap": ({"enabled": (bool, False), "draws": (int, 399),
-                          "dist": (str, "rademacher")}, {}),
-           "rescale": (bool, False), "seed": (int, 0)}
+_CONFIG = {"y": (str, None), "model": (MODEL, REQUIRED)}
 
 
 def _load_config(path) -> dict:
@@ -145,34 +141,24 @@ def _write_json(path, payload):
 
 def cmd_test(args) -> int:
     cfg = _load_config(args.config)
-    boot = cfg["bootstrap"]
     model = ModelSpec.from_dict(cfg["model"])
 
-    # flags override the checked config; every rule below runs before the data is read
+    # every rule below runs before the data is read
     y_name = args.y or cfg["y"]
-    variant = args.variant or cfg["variant"]
-    levels = check_alphas(args.alpha or cfg["alpha"])
-    draws = boot["draws"] if args.bootstrap is None else args.bootstrap
-    bootstrap = boot["enabled"] if args.bootstrap is None else args.bootstrap != 0
-    dist = args.dist or boot["dist"]
-    seed = cfg["seed"] if args.seed is None else args.seed
+    levels = check_alphas(args.alpha or (0.05,))
     if y_name is None:
         raise InputError("name the response column via config 'y' or --y")
-    if variant not in VARIANTS:
-        raise InputError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    if seed < 0:
-        raise InputError(f"seed must be >= 0, not {seed}")
-    if dist not in MULTIPLIERS:
-        raise InputError(f"unknown bootstrap dist {dist!r}; expected one of {MULTIPLIERS}")
-    if bootstrap and draws < 1:
-        raise InputError(f"bootstrap draws must be >= 1 (0 disables), not {draws}")
-    if bootstrap and variant != "ols_short":
+    if args.seed < 0:
+        raise InputError(f"seed must be >= 0, not {args.seed}")
+    if args.bootstrap < 0:
+        raise InputError(f"bootstrap draws must be >= 0 (0 disables), not {args.bootstrap}")
+    if args.bootstrap and args.variant != "ols_short":
         raise InputError("the wild bootstrap is defined for the ols_short variant only")
 
     dataset = load_csv(args.data)
     if y_name not in dataset:
         raise InputError(f"response column {y_name!r} not in dataset")
-    if args.rescale or cfg["rescale"]:
+    if args.rescale:
         dataset = _rescale_columns(dataset, model.variables)
 
     y = dataset[y_name]
@@ -180,7 +166,7 @@ def cmd_test(args) -> int:
     pair, dropped = screen_collinear(pair)
     if pair.r_n < 1:
         raise DesignError("no alternative columns survive screening")
-    result = run_test(y, pair.w, pair.z, variant=variant, levels=levels)
+    result = run_test(y, pair.w, pair.z, variant=args.variant, levels=levels)
 
     print(f"data: {dataset.source} (n = {dataset.n})")
     print(f"design: m_n = {pair.m_n}, r_n = {pair.r_n}, k_n = {pair.k_n}"
@@ -195,18 +181,19 @@ def cmd_test(args) -> int:
         print(f"alpha = {a:g}: normal rule -> {nr}; chi-square rule -> {cr}")
 
     boot_payload = None
-    if bootstrap:
+    if args.bootstrap:
         star = wild_bootstrap(result.extras["fit"], result.extras["z_resid"], result.t,
-                              n_draws=draws, dist=dist, seed=seed, levels=levels)
+                              n_draws=args.bootstrap, dist=args.dist, seed=args.seed,
+                              levels=levels)
         boot_payload = {
             "p_value": star.p_value,
             "n_draws": star.n_draws,
             "n_failed": star.n_failed,
-            "dist": dist,
+            "dist": args.dist,
             "critical_values": {repr(a): v for a, v in star.critical_values.items()},
             "reject": {repr(a): star.reject(a) for a in levels},
         }
-        print(f"bootstrap (B = {star.n_draws}, {dist}): p = {_fmt(star.p_value)}")
+        print(f"bootstrap (B = {star.n_draws}, {args.dist}): p = {_fmt(star.p_value)}")
 
     _write_json(args.out, {
         "command": "test",
@@ -225,7 +212,7 @@ def cmd_test(args) -> int:
         "reject_chisq": {repr(a): v for a, v in result.reject_chisq.items()},
         "bootstrap": boot_payload,
         "weights_floored": result.weights_floored,
-        "seed": seed,
+        "seed": args.seed,
     })
     return EXIT_OK
 
@@ -327,15 +314,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_test = sub.add_parser("test", help="run the specification test on a CSV dataset")
     p_test.add_argument("--data", required=True, help="CSV file (header row, numeric)")
-    p_test.add_argument("--config", required=True, help="JSON run configuration")
+    p_test.add_argument("--config", required=True, help="JSON model configuration")
     p_test.add_argument("--y", help="response column (overrides config)")
-    p_test.add_argument("--variant", choices=VARIANTS, help="statistic variant")
+    p_test.add_argument("--variant", choices=VARIANTS, default="ols_short",
+                        help="statistic variant")
     p_test.add_argument("--alpha", type=float, action="append",
-                        help="test level; repeatable")
-    p_test.add_argument("--bootstrap", type=int, default=None, metavar="B",
+                        help="test level; repeatable (default 0.05)")
+    p_test.add_argument("--bootstrap", type=int, default=0, metavar="B",
                         help="wild bootstrap draws (0 disables)")
-    p_test.add_argument("--dist", choices=MULTIPLIERS, help="bootstrap multiplier")
-    p_test.add_argument("--seed", type=int, default=None)
+    p_test.add_argument("--dist", choices=MULTIPLIERS, default="rademacher",
+                        help="bootstrap multiplier")
+    p_test.add_argument("--seed", type=int, default=0)
     p_test.add_argument("--rescale", action="store_true",
                         help="min-max rescale model variables to [-1, 1]")
     p_test.add_argument("--out", help="write a JSON result file")
@@ -372,7 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("--a-min", type=int, default=4)
     p_tune.add_argument("--a-max", type=int, default=8)
     p_tune.add_argument("--criterion", choices=CRITERIA, default="cp")
-    p_tune.add_argument("--c", type=float, default=3.0)
+    p_tune.add_argument("--c", type=float, default=PENALTY_C)
     p_tune.add_argument("--alpha", type=float, action="append")
     p_tune.add_argument("--out", help="write a JSON result file")
     p_tune.set_defaults(func=cmd_tune)

@@ -33,7 +33,7 @@ import scipy.linalg
 
 from .distributions import chisq_quantile, chisq_sf, normal_quantile, normal_sf
 from .errors import SingularMomentMatrixError
-from .regress import FitResult, ols_fit, residualize_block
+from .regress import ols_fit, residualize_block
 
 __all__ = [
     "VarianceWeights",
@@ -76,19 +76,18 @@ class VarianceWeights:
 
     values: np.ndarray
     floor_applied: bool
-    kind: str  # "residual" or "true"
 
     @classmethod
     def from_residuals(cls, residuals) -> "VarianceWeights":
         values, floored = floored_squares(np.asarray(residuals, dtype=float).ravel())
-        return cls(values, bool(floored), "residual")
+        return cls(values, bool(floored))
 
     @classmethod
     def from_true(cls, sigma2) -> "VarianceWeights":
         s = np.asarray(sigma2, dtype=float).ravel()
         if np.any(s <= 0.0) or not np.all(np.isfinite(s)):
             raise ValueError("true variances must be positive and finite")
-        return cls(s.copy(), False, "true")
+        return cls(s.copy(), False)
 
 
 def _weighted_gram(a: np.ndarray, s: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -161,7 +160,7 @@ def lm_statistic_nr2(residuals, z_resid) -> float:
 
 
 def variant_statistic(variant: str, residuals, w, z, weights: VarianceWeights,
-                      fit: FitResult = None, z_resid=None) -> float:
+                      z_resid=None) -> float:
     """Evaluate one of the statistic variants on raw designs.
 
     A variant is a residual choice times a variance block.  With
@@ -178,9 +177,9 @@ def variant_statistic(variant: str, residuals, w, z, weights: VarianceWeights,
         long   e' Z  (Z'Omega Z - Z'Omega W (W'Omega W)^{-1} W'Omega Z)^{-1} Z' e
 
     so ``ols_short`` (the default test) is ``lm_statistic``.  The short block
-    takes ``z_resid`` = Zt if given, else annihilates Z with ``fit`` (or a
-    fresh factorization of W).  The long block and the FGLS refit share one
-    Cholesky factor of W'Omega W.
+    takes ``z_resid`` = Zt if given, else annihilates Z with a fresh
+    factorization of W.  The long block and the FGLS refit share one Cholesky
+    factor of W'Omega W.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -200,10 +199,8 @@ def variant_statistic(variant: str, residuals, w, z, weights: VarianceWeights,
 
     if block == "short":
         if z_resid is None:
-            if fit is None:
-                # only the projection context of the fit is used
-                fit = ols_fit(w, np.zeros(r.shape[0]))
-            z_resid = residualize_block(fit, z)
+            # only the projection context of the fit is used
+            z_resid = residualize_block(ols_fit(w, np.zeros(r.shape[0])), z)
         return _short_form(e, z_resid, omega)
 
     b = _weighted_gram(w, omega, z)

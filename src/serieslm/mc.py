@@ -72,8 +72,6 @@ _HYP_CODE = {"null": 1, "alternative": 2}
 
 CSV_HEADER = "variant,family,n,a_n,hypothesis,alpha,reject_rate,mc_se,M,seed"
 
-# Penalty constant of the restriction-count selection in data-driven cells.
-TUNING_C = 3.0
 # A cell with more failed replications than this fraction is an error.
 MAX_FAILURE_FRAC = 0.01
 # Smallest simulated sample; McConfig holds every n it runs to it.
@@ -281,7 +279,7 @@ def _fixed_replicate(config: McConfig, family: str, a_n: int, variants: tuple):
 
 def _grid_replicate(config: McConfig, family: str, variants: tuple):
     """One replication of a data-driven cell: (statistic, {alpha: reject}) per variant."""
-    grid = TuningGrid(config.a_values, TUNING_C)
+    grid = TuningGrid(config.a_values)
     criteria = tuple(v.rsplit("_", 1)[1] for v in variants)
 
     def replicate(y, x1, x2, sig2, rep_key):

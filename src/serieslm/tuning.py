@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 CRITERIA = ("cp", "gcv")
+# Penalty constant c of the restriction-count selection, unless a caller sets one.
+PENALTY_C = 3.0
 
 
 @dataclass(frozen=True)
@@ -41,7 +43,7 @@ class TuningGrid:
     """Candidate univariate expansion sizes plus the selection penalty constant."""
 
     candidates: tuple
-    c: float = 3.0
+    c: float = PENALTY_C
 
     def __post_init__(self):
         cand = tuple(int(a) for a in self.candidates)
@@ -89,7 +91,7 @@ def gcv(y, designs) -> int:
     return _select_size([ols_fit(w, y) for w in designs], "gcv")
 
 
-def select_r(stat_by_r, r_min: int, c: float = 3.0) -> int:
+def select_r(stat_by_r, r_min: int, c: float = PENALTY_C) -> int:
     """Restriction count maximizing the penalized statistic; ties to smallest r."""
     if not stat_by_r:
         raise ValueError("empty restriction grid")

@@ -19,6 +19,9 @@ from serieslm.errors import InputError
 from serieslm.mc import DgpSpec, gen_sample
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+# The run settings a `test` config used to default to, spelled as flags.
+OLD_CONFIG_DEFAULTS = ["--variant", "ols_short", "--alpha", "0.05", "--bootstrap", "0",
+                       "--dist", "rademacher", "--seed", "0"]
 
 
 def write_sim_csv(path, n=300, hypothesis="null", seed=3):
@@ -72,7 +75,7 @@ def model_edit(edit):
 
 
 def sim_config(path, **extra):
-    cfg = {"y": "y", "model": sim_model(), "alpha": [0.05], "seed": 17}
+    cfg = {"y": "y", "model": sim_model()}
     cfg.update(extra)
     path.write_text(json.dumps(cfg))
     return path
@@ -204,17 +207,17 @@ class TestCmdTest:
         assert not out.exists()
 
     @pytest.mark.parametrize("extra,flags,named", [
-        ({"alpha": 0.05}, [], "config key 'alpha'"),
-        ({"alpha": []}, [], "alpha levels must be numbers in (0, 1), not []"),
+        ({"alpha": 0.05}, [], "unknown config key(s): 'alpha'"),
+        ({"alpha": []}, [], "unknown config key(s): 'alpha'"),
         ({"model": []}, [], "config key 'model'"),
         ({"model": {"linear_vars": ["x1"], "alternative": "restricted_tensor"}}, [],
          "model key 'alternative'"),
-        ({"bootstrap": [1]}, [], "config key 'bootstrap'"),
+        ({"bootstrap": [1]}, [], "unknown config key(s): 'bootstrap'"),
         ({"model": {"linear_vars": ["x1"],
                     "alternative": {"recipe": "custom", "custom_terms": [5]}}}, [],
          "model key 'alternative.custom_terms[0]'"),
         ({}, ["--bootstrap", "-5"], "bootstrap draws"),
-        ({"seed": [1]}, [], "config key 'seed'"),
+        ({"seed": [1]}, [], "unknown config key(s): 'seed'"),
         ({"screen_tol": [1]}, [], "unknown config key(s): 'screen_tol'"),
         # the tuning section is gone: whatever it holds, the key is refused
         ({"tuning": {"enabled": True, "a_min": [4]}}, [],
@@ -222,14 +225,24 @@ class TestCmdTest:
         ({"tuning": {"enabled": "false"}}, [], "unknown config key(s): 'tuning'"),
         ({"tuning": {"enabled": True, "a_min": 0}}, [],
          "unknown config key(s): 'tuning'"),
-        ({"bootstrap": {"enabled": True, "draws": [19]}}, [], "bootstrap key 'draws'"),
+        ({"bootstrap": {"enabled": True, "draws": [19]}}, [],
+         "unknown config key(s): 'bootstrap'"),
         (5, [], "config must be an object"),
-        ({"bootstrap": {"enabled": "false"}}, [], "bootstrap key 'enabled'"),
-        ({"rescale": "false"}, [], "config key 'rescale'"),
-        ({"bootstrap": {"enabled": True, "draws": 0}}, [], "bootstrap draws"),
-        ({"bootstrap": {"enabled": True, "dist": "normal"}}, [], "'normal'"),
-        ({"seed": -1, "bootstrap": {"enabled": True}}, [], "seed"),
+        ({"bootstrap": {"enabled": "false"}}, [], "unknown config key(s): 'bootstrap'"),
+        ({"rescale": "false"}, [], "unknown config key(s): 'rescale'"),
+        ({"bootstrap": {"enabled": True, "draws": 0}}, [],
+         "unknown config key(s): 'bootstrap'"),
+        ({"bootstrap": {"enabled": True, "dist": "normal"}}, [],
+         "unknown config key(s): 'bootstrap'"),
+        ({}, ["--seed", "-1"], "seed must be >= 0, not -1"),
+        ({}, ["--alpha", "0.05", "--alpha", "1.5"],
+         "alpha levels must be numbers in (0, 1)"),
         ({"alpah": [0.1]}, [], "unknown config key(s): 'alpah'"),
+        # each run setting the config used to hold, at its old default
+        *[({key: value}, [], f"unknown config key(s): {key!r}") for key, value in [
+            ("variant", "ols_short"), ("alpha", [0.05]), ("rescale", False), ("seed", 0)]],
+        *[({"bootstrap": {key: value}}, [], "unknown config key(s): 'bootstrap'")
+          for key, value in [("enabled", False), ("draws", 399), ("dist", "rademacher")]],
         # the model section is held to its JSON types like the rest: an
         # integer key took a boolean, a float or a string, and an array key a
         # string, which a loop then split into one-letter names
@@ -265,7 +278,10 @@ class TestCmdTest:
             "tuning-a-min-zero", "bootstrap-draws-list", "bare-number",
             "bootstrap-enabled-string", "rescale-string",
             "bootstrap-zero-draws", "bootstrap-dist-normal", "negative-seed",
-            "misspelled-key", "a-float", "a-string", "a-boolean",
+            "alpha-flag-above-one", "misspelled-key", "default-variant",
+            "default-alpha", "default-rescale", "default-seed",
+            "default-bootstrap-enabled", "default-bootstrap-draws",
+            "default-bootstrap-dist", "a-float", "a-string", "a-boolean",
             "spline-order-float", "linear-vars-string", "custom-terms-string",
             "var-number", "basis-without-a", "family-unknown", "a-zero",
             "spline-a-below-order", "recipe-unknown"])
@@ -310,22 +326,26 @@ class TestCmdTest:
         assert f"unknown model key(s): {name}" in captured.err
         assert captured.out == "" and loaded == []
 
-    def test_flags_override_config(self, tmp_path):
+    def test_flag_defaults_are_the_old_config_defaults(self, tmp_path):
+        # the config used to default to variant ols_short, alpha [0.05], the
+        # bootstrap off and seed 0; with no flags the run is that run
         data = write_sim_csv(tmp_path / "d.csv")
-        cfg = sim_config(tmp_path / "c.json", y="x1", alpha=[0.1], seed=17,
-                         bootstrap={"enabled": True, "draws": 19})
-        out = tmp_path / "res.json"
+        cfg = sim_config(tmp_path / "c.json")
+        plain, spelled = tmp_path / "plain.json", tmp_path / "spelled.json"
         assert main(["test", "--data", str(data), "--config", str(cfg),
-                     "--bootstrap", "0", "--seed", "5", "--alpha", "0.01",
-                     "--y", "y", "--out", str(out)]) == 0
-        payload = json.loads(out.read_text())
-        assert payload["bootstrap"] is None
-        assert payload["seed"] == 5
-        assert list(payload["reject_normal"]) == ["0.01"]
-        plain = tmp_path / "plain.json"
-        assert main(["test", "--data", str(data), "--config",
-                     str(sim_config(tmp_path / "p.json")), "--out", str(plain)]) == 0
-        assert payload["statistic"] == json.loads(plain.read_text())["statistic"]
+                     "--out", str(plain)]) == 0
+        assert main(["test", "--data", str(data), "--config", str(cfg),
+                     "--out", str(spelled)] + OLD_CONFIG_DEFAULTS) == 0
+        assert plain.read_bytes() == spelled.read_bytes()
+        payload = json.loads(plain.read_text())
+        assert payload["variant"] == "ols_short" and payload["bootstrap"] is None
+        assert payload["seed"] == 0 and list(payload["reject_normal"]) == ["0.05"]
+        # --y still overrides the config's response column
+        other = sim_config(tmp_path / "x1.json", y="x1")
+        flagged = tmp_path / "flagged.json"
+        assert main(["test", "--data", str(data), "--config", str(other),
+                     "--y", "y", "--out", str(flagged)]) == 0
+        assert flagged.read_bytes() == plain.read_bytes()
 
     def test_missing_column_is_input_error(self, tmp_path):
         data = tmp_path / "d.csv"
@@ -364,6 +384,42 @@ class TestCmdTest:
         payload = json.loads(out.read_text())
         assert (payload["m_n"], payload["k_n"], payload["r_n"]) == (21, 110, 89)
 
+    def test_benchmark_command_shape(self, tmp_path):
+        # the argv of the benchmark's test_dataset workload, on smaller data
+        p = write_gasoline_csv(tmp_path / "gas.csv")
+        out = tmp_path / "res.json"
+        assert main(["test", "--data", str(p),
+                     "--config", str(CONFIG_DIR / "gasoline_age.json"),
+                     "--rescale", "--bootstrap", "19", "--seed", "3",
+                     "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert (payload["m_n"], payload["r_n"]) == (21, 89)
+        assert payload["bootstrap"]["n_draws"] == 19 and payload["seed"] == 3
+
+    def test_rescale_is_min_max_to_unit_interval(self, tmp_path):
+        # --rescale gives the run on data whose model columns were mapped to
+        # [-1, 1] beforehand
+        config = CONFIG_DIR / "gasoline_age.json"
+        raw = write_gasoline_csv(tmp_path / "gas.csv")
+        cols = dict(load_csv(raw).columns)
+        for name in ModelSpec.from_dict(cli._load_config(config)["model"]).variables:
+            lo, hi = cols[name].min(), cols[name].max()
+            cols[name] = 2.0 * (cols[name] - lo) / (hi - lo) - 1.0
+        scaled = tmp_path / "scaled.csv"
+        scaled.write_text(",".join(cols) + "\n" + "\n".join(
+            ",".join(repr(float(v)) for v in row) for row in zip(*cols.values())) + "\n")
+        flags = ["--config", str(config), "--bootstrap", "19", "--seed", "3"]
+        results = []
+        for data, extra in [(raw, ["--rescale"]), (scaled, [])]:
+            out = tmp_path / f"{data.stem}.json"
+            assert main(["test", "--data", str(data), "--out", str(out)]
+                        + flags + extra) == 0
+            payload = json.loads(out.read_text())
+            assert payload.pop("source") == str(data)
+            results.append(payload)
+        assert results[0] == results[1]
+        assert results[0]["dropped_columns"] == [] and results[0]["r_n"] == 89
+
 
 class TestConfigDocs:
     """The README's config block and the shipped recipe, read as ``test`` reads them."""
@@ -375,14 +431,18 @@ class TestConfigDocs:
         return json.loads(block.group(1))
 
     def test_readme_block_shows_the_defaults(self, tmp_path):
+        # the block holds every config key, and the run settings are the
+        # flags the README states with their defaults
         shown = self.readme_config()
-        minimal = tmp_path / "minimal.json"
-        minimal.write_text(json.dumps({"y": shown["y"], "model": shown["model"]}))
-        full = tmp_path / "full.json"
-        full.write_text(json.dumps(shown))
-        filled = cli._load_config(minimal)
-        assert filled == cli._load_config(full)
-        assert {**filled, "model": shown["model"]} == shown
+        path = tmp_path / "shown.json"
+        path.write_text(json.dumps(shown))
+        loaded = cli._load_config(path)
+        assert set(shown) == set(loaded) == {"y", "model"}
+        assert loaded["y"] == shown["y"]
+        readme = (CONFIG_DIR.parent / "README.md").read_text()
+        stated = re.search(r"with these defaults: (.*?);", readme, re.S).group(1)
+        flags = re.findall(r"`(--\S+) (\S+)`", stated)
+        assert [word for flag in flags for word in flag] == OLD_CONFIG_DEFAULTS
 
     def test_readme_commands_parse(self):
         # every `serieslm ...` command in the README's bash blocks, its

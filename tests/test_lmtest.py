@@ -131,7 +131,7 @@ class TestVariantStatistics:
     def test_long_variance_equals_short_under_constant_weights(self):
         w, z, _, fit, zt, _ = make_instance(51, 70, 5, 6)
         weights = VarianceWeights.from_true(np.full(70, 2.5))
-        long = variant_statistic("ols_long", fit.residuals, w, z, weights, fit=fit)
+        long = variant_statistic("ols_long", fit.residuals, w, z, weights)
         short = lm_statistic(fit.residuals, zt, weights)
         assert long == pytest.approx(short, rel=1e-8)
 
@@ -139,7 +139,7 @@ class TestVariantStatistics:
         w, z, _, fit, zt, _ = make_instance(52, 60, 4, 5)
         q, _ = np.linalg.qr(zt)
         weights = VarianceWeights.from_true(np.ones(60))
-        stat = variant_statistic("fgls_short", fit.residuals, w, q, weights, fit=fit)
+        stat = variant_statistic("fgls_short", fit.residuals, w, q, weights)
         assert stat == pytest.approx(float(np.sum((q.T @ fit.residuals) ** 2)),
                                      rel=1e-10)
 
@@ -169,7 +169,7 @@ class TestVariantStatistics:
                                          (zt * v[:, None]).T @ zt),
         }
         for name, oracle in oracles.items():
-            stat = variant_statistic(name, fit.residuals, w, z, weights, fit=fit)
+            stat = variant_statistic(name, fit.residuals, w, z, weights)
             assert stat == pytest.approx(oracle, rel=1e-9), name
 
     def test_unknown_variant(self):

@@ -2,13 +2,14 @@
 
 import contextlib
 import gc
+import inspect
 import math
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from serieslm import mc, tuning
+from serieslm import cli, mc, tuning
 from serieslm.design import simulation_design
 from serieslm.distributions import chisq_quantile
 from serieslm.errors import RankDeficiencyError, SingularMomentMatrixError
@@ -143,6 +144,14 @@ class TestTuningGrid:
     def test_candidates_below_the_design_minimum(self, candidates):
         with pytest.raises(ValueError, match=">= 4"):
             TuningGrid(candidates)
+
+    def test_one_penalty_constant(self):
+        # tune --c, the grid and select_r default to the same c, which the
+        # simulated data-driven cells use too
+        args = cli._build_parser().parse_args(
+            ["tune", "--data", "d.csv", "--y", "y", "--x1", "x1", "--x2", "x2"])
+        assert args.c == TuningGrid((4,)).c == tuning.PENALTY_C
+        assert inspect.signature(select_r).parameters["c"].default == tuning.PENALTY_C
 
 
 class TestDataDrivenTest:
