@@ -161,7 +161,10 @@ def spline_basis(v, a: int, s: int = 3, knots=None, name: str = "v") -> BasisMat
     cols = [np.vander(arr, s + 1, increasing=True)]
     labels = [_power_label(name, j) for j in range(s + 1)]
     for t in knots:
-        cols.append(np.where(arr > t, (arr - t) ** s, 0.0)[:, None])
+        # bitwise np.where(arr > t, (arr - t) ** s, 0.0): the same pow on the
+        # same positive bases and +0.0 ** s = +0.0 elsewhere, but pow never
+        # sees a negative base, which takes libm's slow path
+        cols.append((np.where(arr > t, arr - t, 0.0) ** s)[:, None])
         labels.append(f"{name}_tp{t!r}")
     return BasisMatrix(np.column_stack(cols), tuple(labels))
 

@@ -127,11 +127,12 @@ def gen_sample(spec: DgpSpec, rng: np.random.Generator = None,
 
 
 def check_alphas(levels) -> tuple:
-    """``levels`` as a tuple of floats: at least one, each a test level in (0, 1)."""
+    """``levels`` as a tuple of distinct floats in first-seen order: at least
+    one, each a test level in (0, 1)."""
     levels = tuple(levels)
     if not levels or not all(0.0 < a < 1.0 for a in levels):
         raise ValueError(f"alpha levels must be numbers in (0, 1), not {list(levels)}")
-    return tuple(float(a) for a in levels)
+    return tuple(dict.fromkeys([float(a) for a in levels]))
 
 
 @dataclass(frozen=True)

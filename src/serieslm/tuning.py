@@ -8,19 +8,18 @@ restrictions is then chosen by maximizing the penalized statistic
 
 over the candidates at least as rich as the selected null model, and the
 decision compares the winning statistic against the chi-square quantile with
-r_min degrees of freedom.
+r_min degrees of freedom.  A candidate below every selected null model is fit
+but never tested: no decision reads its statistic.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .design import SIMULATION_A_MIN, simulation_design
-from .errors import SeriesLMError
 from .lmtest import VarianceWeights, chisq_rule, lm_statistic
 from .regress import ols_fit, residualize_block
 
@@ -126,78 +125,53 @@ class DataDrivenResult:
     candidate_table: tuple = field(default=())
 
 
-@dataclass(frozen=True)
-class _Candidate:
-    """One grid candidate's null-fit summary and statistic, without its design.
-
-    ``error`` holds the exception the statistic raised (``statistic`` is then
-    NaN), without its traceback; a copy is raised only when a selection
-    reaches the candidate.  Neither one refers to a frame that refers back to
-    it, so a failure leaves no reference cycle and no design alive.
-    """
-
-    a: int
-    n_params: int  # m_n
-    r_n: int
-    n_obs: int
-    rss: float
-    statistic: float
-    error: Exception = None
-
-
-def _candidate(y, x1, x2, a: int, family: str) -> _Candidate:
-    """Fit and test one grid candidate; its W and Z are dropped on return."""
-    pair = simulation_design(x1, x2, a, family)
-    fit = ols_fit(pair.w, y)
-    stat, error = math.nan, None
-    try:
-        stat = lm_statistic(fit.residuals, residualize_block(fit, pair.z),
-                            VarianceWeights.from_residuals(fit.residuals))
-    except (SeriesLMError, ValueError) as exc:
-        # the traceback's frames hold this candidate's design and ``error``
-        error = exc.with_traceback(None)
-    return _Candidate(a, pair.m_n, pair.r_n, fit.n_obs, fit.rss, stat, error)
+def _row(a: int, fit, pair) -> tuple:
+    """(a, m_n, r_n, rss, statistic) of one candidate; its design dies on return."""
+    stat = lm_statistic(fit.residuals, residualize_block(fit, pair.z),
+                        VarianceWeights.from_residuals(fit.residuals))
+    return a, fit.n_params, pair.r_n, fit.rss, stat
 
 
 def data_driven_decisions(y, x1, x2, grid: TuningGrid, family: str = "power",
                           levels=(0.05,), criteria=CRITERIA) -> dict:
     """Data-driven tests for several selection criteria on one sample.
 
-    Each candidate's design, null fit and statistic are computed once, one
-    candidate at a time, and shared across criteria.  A statistic that fails
-    at a candidate no criterion reaches is ignored.  Returns
-    {criterion: DataDrivenResult}.
+    Every candidate's design draws on one basis table, so each (variable,
+    size) basis is built once.  The null fits of all candidates come first,
+    and each criterion picks its null size from them.  Z and the statistic
+    are then computed, one candidate at a time, only from the smaller pick
+    upward: no decision reads a candidate below both picks, so a statistic
+    there is never computed and cannot fail.  Returns {criterion:
+    DataDrivenResult}.
     """
     for criterion in criteria:
         if criterion not in CRITERIA:
             raise ValueError(f"unknown criterion {criterion!r}; expected {CRITERIA}")
     y = np.asarray(y, dtype=float).ravel()
-    candidates = [_candidate(y, x1, x2, a, family) for a in grid.candidates]
+    bases = {}  # (variable, BasisSpec) -> basis, shared by every candidate
+    fits = [ols_fit(simulation_design(x1, x2, a, family, bases, null_only=True).w, y)
+            for a in grid.candidates]
+    picks = {criterion: _select_size(fits, criterion) for criterion in criteria}
+    first = min(picks.values(), default=len(fits))
+    rows = [_row(a, fit, simulation_design(x1, x2, a, family, bases))
+            for a, fit in zip(grid.candidates[first:], fits[first:])]
 
     out = {}
-    for criterion in criteria:
-        a_idx = _select_size(candidates, criterion)
-        reached = candidates[a_idx:]
-        for cand in reached:
-            if cand.error is not None:
-                # raising the stored one would tie it to this frame's candidates
-                raise copy.copy(cand.error)
-        stat_by_r = {cand.r_n: cand.statistic for cand in reached}
-
-        r_min = candidates[a_idx].r_n
+    for criterion, a_idx in picks.items():
+        reached = rows[a_idx - first:]
+        stat_by_r = {r_n: stat for _, _, r_n, _, stat in reached}
+        r_min = reached[0][2]
         r_hat = select_r(stat_by_r, r_min, grid.c)
-        stat_hat = stat_by_r[r_hat]
-        p_value, reject = chisq_rule(stat_hat, r_min, levels)
+        p_value, reject = chisq_rule(stat_by_r[r_hat], r_min, levels)
         out[criterion] = DataDrivenResult(
             criterion=criterion,
-            selected_a=candidates[a_idx].a,
+            selected_a=reached[0][0],
             selected_r=r_hat,
             r_min=r_min,
-            statistic=stat_hat,
+            statistic=stat_by_r[r_hat],
             p_value=p_value,
             reject=reject,
-            candidate_table=tuple([(cand.a, cand.n_params, cand.r_n, cand.rss,
-                                    cand.statistic) for cand in reached]),
+            candidate_table=tuple(reached),
         )
     return out
 
@@ -208,9 +182,9 @@ def data_driven_test(y, x1, x2, grid: TuningGrid, family: str = "power",
 
     Every grid candidate ``a`` induces its paired (W, Z) design; Cp or GCV
     picks the null size ``a_hat`` from the W fits, the penalized criterion
-    picks the restriction count among candidates with ``a >= a_hat``, and the
-    null is rejected when the winning statistic exceeds the
-    chi-square(r_min) critical value.
+    picks the restriction count among candidates with ``a >= a_hat``, the
+    only ones whose statistic is computed, and the null is rejected when the
+    winning statistic exceeds the chi-square(r_min) critical value.
     """
     return data_driven_decisions(y, x1, x2, grid, family=family, levels=levels,
                                  criteria=(criterion,))[criterion]

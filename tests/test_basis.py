@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from serieslm.basis import (
     BasisMatrix,
@@ -100,6 +100,33 @@ class TestSplineBasis:
             for t in knots:
                 row.append((x - t) ** 3 if x > t else 0.0)
             np.testing.assert_allclose(b[i], row, rtol=1e-14)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), s=st.integers(1, 5), n=st.integers(6, 80),
+           n_knots=st.integers(1, 5), shift=st.floats(-1e3, 1e3),
+           scale=st.floats(1e-3, 1e3), at_points=st.booleans())
+    def test_knot_columns_bitwise_equal_to_where_form(self, seed, s, n, n_knots,
+                                                      shift, scale, at_points):
+        # the truncated columns are exactly np.where(v > t, (v - t) ** s, 0.0),
+        # zeros and their signs included; knots sit at empirical quantiles or
+        # on sample points, and a third of the points repeat
+        rng = np.random.default_rng(seed)
+        v = shift + scale * rng.uniform(-2.0, 2.0, n)
+        v[: n // 3] = rng.choice(v, n // 3)
+        knots = (np.sort(rng.choice(v, n_knots)) if at_points
+                 else quantile_knots(v, n_knots))
+        got = spline_basis(v, s + 1 + n_knots, s, knots).values[:, s + 1:]
+        want = np.column_stack([np.where(v > t, (v - t) ** s, 0.0) for t in knots])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("t", [0.0, -0.0])
+    def test_knot_column_at_signed_zero(self, s, t):
+        v = np.array([-0.0, 0.0, -1.0, 1.0])
+        got = spline_basis(v, s + 2, s, [t]).values[:, -1]
+        want = np.where(v > t, (v - t) ** s, 0.0)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(got, [0.0, 0.0, 0.0, 1.0])
 
     def test_knot_count_mismatch(self):
         with pytest.raises(ValueError):

@@ -182,6 +182,43 @@ class TestCmdTest:
         assert boot["n_draws"] == 49 and boot["dist"] == "mammen"
         assert 0.0 < boot["p_value"] <= 1.0
 
+    @pytest.mark.parametrize("draws,alphas,note", [
+        ("9", ["0.05"], "is at least 0.1, so it cannot reject at alpha = 0.05; "
+                        "--bootstrap 19 is the fewest draws that can"),
+        ("1", ["0.1", "0.6", "0.01"], "is at least 0.5, so it cannot reject at "
+                                      "alpha = 0.1, 0.01; --bootstrap 99 is the fewest"),
+        ("19", ["0.05"], None),
+        ("99", ["0.05", "0.01"], None),
+    ], ids=["9-at-0.05", "1-at-three-levels", "19-at-0.05", "99-at-0.01"])
+    def test_bootstrap_too_small_to_reject_is_noted(self, tmp_path, capsys, draws,
+                                                    alphas, note):
+        # the add-one p-value is at least 1/(B + 1): with fewer draws than
+        # 1/alpha - 1 no data can reject at alpha, and the run says so once
+        data = write_sim_csv(tmp_path / "d.csv")
+        cfg = sim_config(tmp_path / "c.json")
+        out = tmp_path / "res.json"
+        argv = ["test", "--data", str(data), "--config", str(cfg), "--bootstrap", draws,
+                "--out", str(out)]
+        assert main(argv + [flag for a in alphas for flag in ("--alpha", a)]) == 0
+        err = capsys.readouterr().err
+        assert json.loads(out.read_text())["bootstrap"]["n_draws"] == int(draws)
+        if note is None:
+            assert err == ""
+        else:
+            assert err.count("\n") == 1 and note in err
+
+    def test_repeated_alpha_prints_one_decision_line(self, tmp_path, capsys):
+        data = write_sim_csv(tmp_path / "d.csv")
+        cfg = sim_config(tmp_path / "c.json")
+        argv = ["test", "--data", str(data), "--config", str(cfg), "--bootstrap", "19"]
+        assert main(argv + ["--alpha", "0.1", "--alpha", "0.05"]) == 0
+        once = capsys.readouterr().out
+        assert main(argv + ["--alpha", "0.1", "--alpha", "0.05", "--alpha", "0.1",
+                            "--alpha", "5e-2"]) == 0
+        assert capsys.readouterr().out == once
+        assert [line.split(":")[0] for line in once.splitlines()
+                if line.startswith("alpha")] == ["alpha = 0.1", "alpha = 0.05"]
+
     def test_variant_flag(self, tmp_path):
         data = write_sim_csv(tmp_path / "d.csv")
         cfg = sim_config(tmp_path / "c.json")

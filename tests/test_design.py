@@ -16,6 +16,7 @@ from serieslm.design import (
     simulation_design,
 )
 from serieslm.errors import DesignError, RankDeficiencyError
+from serieslm.mc import DgpSpec, gen_sample
 
 TERM_COUNTS = {4: (5, 16, 11), 5: (6, 25, 19), 6: (7, 27, 20),
                7: (8, 29, 21), 8: (9, 40, 31), 9: (10, 53, 43)}
@@ -91,6 +92,35 @@ class TestSimulationDesign:
         pair = simulation_design(*xy, 6, "spline")
         assert any("x2_tp" in lab for lab in pair.w_labels)
         assert any(lab.startswith("x1_tp") for lab in pair.z_labels)
+
+
+class TestSharedBasisTable:
+    """One sample's designs built from one basis table equal fresh builds, bit for bit."""
+
+    @staticmethod
+    def bits(a):
+        return a.view(np.int64)
+
+    @pytest.mark.parametrize("family", ["power", "spline"])
+    @pytest.mark.parametrize("hyp,seed", [("null", 0), ("null", 5), ("alternative", 1),
+                                          ("alternative", 9)])
+    def test_every_candidate_equals_a_fresh_design(self, family, hyp, seed):
+        _, x1, x2 = gen_sample(DgpSpec(300, hyp, seed=seed))
+        for order in (range(4, 10), range(9, 3, -1)):
+            bases = {}
+            for a_n in order:
+                fresh = simulation_design(x1, x2, a_n, family)
+                null = simulation_design(x1, x2, a_n, family, bases, null_only=True)
+                shared = simulation_design(x1, x2, a_n, family, bases)
+                assert shared.w_labels == null.w_labels == fresh.w_labels
+                assert shared.z_labels == fresh.z_labels and null.z_labels == ()
+                assert np.array_equal(self.bits(shared.w), self.bits(fresh.w))
+                assert np.array_equal(self.bits(null.w), self.bits(fresh.w))
+                assert np.array_equal(self.bits(shared.z), self.bits(fresh.z))
+                assert null.z.shape == (300, 0)
+            # sizes 4..9 of each variable; the interaction orders are among them
+            assert set(bases) == {(v, BasisSpec(family, a)) for v in ("x1", "x2")
+                                  for a in range(4, 10)}
 
 
 class TestBuildPartiallyLinear:

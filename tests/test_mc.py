@@ -145,6 +145,9 @@ class TestRunMc:
         with pytest.raises(ValueError, match="alpha levels must be numbers in"):
             tiny_config(alphas=alphas)
 
+    def test_repeated_alphas_kept_once_in_first_seen_order(self):
+        assert tiny_config(alphas=(0.1, 0.05, 0.1, 5e-2)).alphas == (0.1, 0.05)
+
     def test_mean_statistic_recorded(self):
         report = run_mc(tiny_config(replications=10, hypotheses=("null",)))
         assert np.isfinite(report.mean_statistic("ols_short", "power", 120, 4,

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from serieslm import cli, mc, tuning
+from serieslm import cli, design, mc, tuning
+from serieslm.basis import restricted_interaction_order
 from serieslm.design import simulation_design
 from serieslm.distributions import chisq_quantile
 from serieslm.errors import RankDeficiencyError, SingularMomentMatrixError
@@ -257,6 +258,57 @@ class TestDataDrivenDecisions:
             assert res.p_value == pytest.approx(
                 scipy.stats.chi2.sf(stat, r_min), rel=1e-12)
 
+    @pytest.mark.parametrize("n,hyp,seed,family,picks", [
+        (400, "null", 7, "power", (4, 4)),
+        (400, "alternative", 2, "power", (7, 7)),
+        (400, "alternative", 2, "spline", (5, 5)),
+        (250, "null", 29, "spline", (5, 4)),
+        (150, "null", 39, "power", (8, 7)),
+    ])
+    def test_statistic_only_from_the_smaller_pick_upward(self, monkeypatch, n, hyp,
+                                                         seed, family, picks):
+        # every r_n of the grid is distinct, so the tested r_n name the candidates
+        y, x1, x2 = gen_sample(DgpSpec(n, hyp, seed=seed))
+        real, tested = tuning.lm_statistic, []
+
+        def counting(residuals, z_resid, weights):
+            tested.append(z_resid.shape[1])
+            return real(residuals, z_resid, weights)
+
+        monkeypatch.setattr(tuning, "lm_statistic", counting)
+        got = data_driven_decisions(y, x1, x2, self.GRID, family=family)
+        assert (got["cp"].selected_a, got["gcv"].selected_a) == picks
+        first = self.GRID.candidates.index(min(picks))
+        r_ns = [simulation_design(x1, x2, a, family).r_n for a in self.GRID.candidates]
+        assert tested == r_ns[first:]
+
+    @pytest.mark.parametrize("hyp,seed,family,count", [
+        ("null", 7, "power", 12), ("null", 7, "spline", 12),
+        ("alternative", 2, "power", 11), ("alternative", 2, "spline", 8),
+    ])
+    def test_each_basis_built_once_per_sample(self, monkeypatch, hyp, seed, family,
+                                              count):
+        # the designs of grid 4..9 read 20 (variable, size) bases but only 12
+        # distinct ones, sizes 4..9 of x1 and x2 (the interaction orders 4, 5,
+        # 5, 5, 6, 7 are among them); each is built once, and only if a null
+        # fit or a reached candidate's Z needs it: all 12 when a = 4 is picked
+        y, x1, x2 = gen_sample(DgpSpec(400, hyp, seed=seed))
+        real, built = design.build_basis, []
+
+        def counting(v, spec, name="v"):
+            built.append((name, spec.a))
+            return real(v, spec, name=name)
+
+        monkeypatch.setattr(design, "build_basis", counting)
+        grid = TuningGrid(tuple(range(4, 10)))
+        got = data_driven_decisions(y, x1, x2, grid, family=family)
+        reached = range(min(res.selected_a for res in got.values()), 10)
+        needed = ({("x2", a) for a in grid.candidates}
+                  | {("x1", a) for a in reached}
+                  | {(v, restricted_interaction_order(a)) for a in reached
+                     for v in ("x1", "x2")})
+        assert len(built) == len(set(built)) == count and set(built) == needed
+
     def inject(self, monkeypatch, r_n):
         """lm_statistic raising SingularMomentMatrixError for the candidate with r_n."""
         real = tuning.lm_statistic
@@ -313,8 +365,9 @@ class TestDataDrivenDecisions:
                           variants=("data_driven_cp",), hypotheses=("null",),
                           seed=5)
         assert run_mc(config).rows[0].m_eff == 3
-        # two candidates per replication, so the second call is the largest
-        # candidate of replication 0, which every selection reaches
+        # only candidates a selection reaches are tested, so the second call
+        # is one of them: replication 0's a = 5 if Cp picks a = 4 there, else
+        # replication 1's first reached candidate; one replication is dropped
         real, calls = tuning.lm_statistic, []
 
         def failing_once(*args):
