@@ -194,14 +194,16 @@ def cmd_test(args) -> int:
             "reject": {repr(a): star.reject(a) for a in levels},
         }
         print(f"bootstrap (B = {star.n_draws}, {args.dist}): p = {_fmt(star.p_value)}")
-        floor = 1.0 / (args.bootstrap + 1.0)  # the add-one p-value's least value
+        # the add-one p-value's least value; failed draws do not count
+        floor = 1.0 / (star.n_draws - star.n_failed + 1.0)
         unreachable = [a for a in levels if floor > a]
         if unreachable:
             fewest = math.ceil(1.0 / min(unreachable)) - 2  # 1/alpha may round up
             while 1.0 / (fewest + 1.0) > min(unreachable):
                 fewest += 1
-            print(f"test: note: the bootstrap p-value with --bootstrap {args.bootstrap} "
-                  f"is at least {_fmt(floor)}, so it cannot reject at alpha = "
+            failed = f" ({star.n_failed} failed)" if star.n_failed else ""
+            print(f"test: note: the bootstrap p-value with --bootstrap {args.bootstrap}"
+                  f"{failed} is at least {_fmt(floor)}, so it cannot reject at alpha = "
                   f"{', '.join(f'{a:g}' for a in unreachable)}; --bootstrap {fewest} "
                   "is the fewest draws that can", file=sys.stderr)
 

@@ -254,16 +254,15 @@ def _term_label(factors) -> str:
     return "*".join(_power_label(v, p) for v, p in factors)
 
 
-def build_partially_linear(data, spec: ModelSpec, bases=None,
-                           null_only: bool = False) -> DesignPair:
+def build_partially_linear(data, spec: ModelSpec, bases=None) -> DesignPair:
     """Build (W, Z) for a partially linear null against the chosen alternative.
 
     ``data`` maps variable names to equal-length numeric vectors.  W holds a
     single constant, the linear regressors, and each series expansion without
     its own constant; Z holds the alternative terms whose canonical label is
-    not already in W; ``null_only`` leaves Z empty.  ``bases``, a dict keyed by
-    (variable, BasisSpec), holds the bases already built on this same ``data``
-    and gains the ones built here, so the designs of one sample can share it.
+    not already in W.  ``bases``, a dict keyed by (variable, BasisSpec), holds
+    the bases already built on this same ``data`` and gains the ones built
+    here, so the designs of one sample can share it.
     """
     n = None
 
@@ -326,7 +325,7 @@ def build_partially_linear(data, spec: ModelSpec, bases=None,
             raise DesignError(f"duplicate column {label!r} in null design")
         w[label] = col
     z = {}
-    for label, col in () if null_only else alt_terms():
+    for label, col in alt_terms():
         if label not in w:
             z.setdefault(label, col)
 
@@ -338,15 +337,14 @@ def build_partially_linear(data, spec: ModelSpec, bases=None,
                       tuple(w), tuple(z))
 
 
-def simulation_design(x1, x2, a_n: int, family: str = "power", bases=None,
-                      null_only: bool = False) -> DesignPair:
+def simulation_design(x1, x2, a_n: int, family: str = "power",
+                      bases=None) -> DesignPair:
     """The two-regressor partially linear design used in the simulation study.
 
     Null: [1, x1, a_n-term series in x2].  Alternative adds the higher own
     terms of x1 and all pairwise interactions of the constant-free restricted
-    bases, so k_n = 2 a_n - 1 + (a_bar - 1)^2.  ``bases`` and ``null_only``
-    are those of ``build_partially_linear``; one table serves every a_n of a
-    sample (x1, x2).
+    bases, so k_n = 2 a_n - 1 + (a_bar - 1)^2.  ``bases`` is that of
+    ``build_partially_linear``; one table serves every a_n of a sample (x1, x2).
     """
     if a_n < SIMULATION_A_MIN:
         raise ValueError(f"simulation design needs a_n >= {SIMULATION_A_MIN}")
@@ -359,7 +357,7 @@ def simulation_design(x1, x2, a_n: int, family: str = "power", bases=None,
             basis=(("x1", bspec), ("x2", bspec)),
         ),
     )
-    return build_partially_linear({"x1": x1, "x2": x2}, spec, bases, null_only)
+    return build_partially_linear({"x1": x1, "x2": x2}, spec, bases)
 
 
 def screen_collinear(pair: DesignPair, tol: float = 1e-10):

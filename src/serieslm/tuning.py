@@ -125,11 +125,17 @@ class DataDrivenResult:
     candidate_table: tuple = field(default=())
 
 
-def _row(a: int, fit, pair) -> tuple:
-    """(a, m_n, r_n, rss, statistic) of one candidate; its design dies on return."""
-    stat = lm_statistic(fit.residuals, residualize_block(fit, pair.z),
+def _null_fit(y, x1, x2, a: int, family: str, bases: dict) -> tuple:
+    """(a, null fit, Z) of one grid candidate; its W dies on return."""
+    pair = simulation_design(x1, x2, a, family, bases)
+    return a, ols_fit(pair.w, y), pair.z
+
+
+def _row(a: int, fit, z) -> tuple:
+    """(a, m_n, r_n, rss, statistic) of one candidate."""
+    stat = lm_statistic(fit.residuals, residualize_block(fit, z),
                         VarianceWeights.from_residuals(fit.residuals))
-    return a, fit.n_params, pair.r_n, fit.rss, stat
+    return a, fit.n_params, z.shape[1], fit.rss, stat
 
 
 def data_driven_decisions(y, x1, x2, grid: TuningGrid, family: str = "power",
@@ -137,24 +143,22 @@ def data_driven_decisions(y, x1, x2, grid: TuningGrid, family: str = "power",
     """Data-driven tests for several selection criteria on one sample.
 
     Every candidate's design draws on one basis table, so each (variable,
-    size) basis is built once.  The null fits of all candidates come first,
-    and each criterion picks its null size from them.  Z and the statistic
-    are then computed, one candidate at a time, only from the smaller pick
-    upward: no decision reads a candidate below both picks, so a statistic
-    there is never computed and cannot fail.  Returns {criterion:
-    DataDrivenResult}.
+    size) basis is built once, and each design is built once.  The null fits
+    of all candidates come first, and each criterion picks its null size from
+    them.  The statistic is then computed only from the smaller pick upward:
+    no decision reads a candidate below both picks, so a statistic there is
+    never computed and cannot fail.  Returns {criterion: DataDrivenResult}.
     """
     for criterion in criteria:
         if criterion not in CRITERIA:
             raise ValueError(f"unknown criterion {criterion!r}; expected {CRITERIA}")
     y = np.asarray(y, dtype=float).ravel()
     bases = {}  # (variable, BasisSpec) -> basis, shared by every candidate
-    fits = [ols_fit(simulation_design(x1, x2, a, family, bases, null_only=True).w, y)
-            for a in grid.candidates]
-    picks = {criterion: _select_size(fits, criterion) for criterion in criteria}
-    first = min(picks.values(), default=len(fits))
-    rows = [_row(a, fit, simulation_design(x1, x2, a, family, bases))
-            for a, fit in zip(grid.candidates[first:], fits[first:])]
+    null_fits = [_null_fit(y, x1, x2, a, family, bases) for a in grid.candidates]
+    picks = {criterion: _select_size([fit for _, fit, _ in null_fits], criterion)
+             for criterion in criteria}
+    first = min(picks.values(), default=len(null_fits))
+    rows = [_row(*cand) for cand in null_fits[first:]]
 
     out = {}
     for criterion, a_idx in picks.items():

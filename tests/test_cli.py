@@ -11,11 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from serieslm import cli, mc
+from serieslm import bootstrap, cli, mc
 from serieslm.basis import BasisSpec
 from serieslm.cli import Dataset, load_csv, main
 from serieslm.design import AlternativeSpec, ModelSpec
-from serieslm.errors import InputError
+from serieslm.errors import InputError, SingularMomentMatrixError
 from serieslm.mc import DgpSpec, gen_sample
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -206,6 +206,35 @@ class TestCmdTest:
             assert err == ""
         else:
             assert err.count("\n") == 1 and note in err
+
+    @pytest.mark.parametrize("fail", [False, True], ids=["all-valid", "one-failed"])
+    def test_failed_bootstrap_draws_raise_the_floor(self, tmp_path, capsys, monkeypatch,
+                                                    fail):
+        # 199 valid draws reach p = 1/200 = 0.005; one failed draw leaves 198,
+        # whose least p-value 1/199 is above 0.005
+        real, calls = bootstrap._quadform, []
+
+        def failing_once(*args):
+            calls.append(None)
+            if fail and len(calls) == 1:
+                raise SingularMomentMatrixError("injected")
+            return real(*args)
+
+        monkeypatch.setattr(bootstrap, "_quadform", failing_once)
+        data = write_sim_csv(tmp_path / "d.csv")
+        cfg = sim_config(tmp_path / "c.json")
+        out = tmp_path / "res.json"
+        assert main(["test", "--data", str(data), "--config", str(cfg), "--bootstrap",
+                     "199", "--alpha", "0.005", "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert len(calls) == 199
+        assert json.loads(out.read_text())["bootstrap"]["n_failed"] == int(fail)
+        if fail:
+            assert err.count("\n") == 1
+            assert ("--bootstrap 199 (1 failed) is at least 0.00502513, so it cannot "
+                    "reject at alpha = 0.005; --bootstrap 199 is the fewest") in err
+        else:
+            assert err == ""
 
     def test_repeated_alpha_prints_one_decision_line(self, tmp_path, capsys):
         data = write_sim_csv(tmp_path / "d.csv")

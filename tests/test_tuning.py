@@ -10,7 +10,6 @@ import pytest
 import scipy.stats
 
 from serieslm import cli, design, mc, tuning
-from serieslm.basis import restricted_interaction_order
 from serieslm.design import simulation_design
 from serieslm.distributions import chisq_quantile
 from serieslm.errors import RankDeficiencyError, SingularMomentMatrixError
@@ -282,32 +281,33 @@ class TestDataDrivenDecisions:
         r_ns = [simulation_design(x1, x2, a, family).r_n for a in self.GRID.candidates]
         assert tested == r_ns[first:]
 
-    @pytest.mark.parametrize("hyp,seed,family,count", [
-        ("null", 7, "power", 12), ("null", 7, "spline", 12),
-        ("alternative", 2, "power", 11), ("alternative", 2, "spline", 8),
+    @pytest.mark.parametrize("hyp,seed,family", [
+        ("null", 7, "power"), ("null", 7, "spline"),
+        ("alternative", 2, "power"), ("alternative", 2, "spline"),
     ])
-    def test_each_basis_built_once_per_sample(self, monkeypatch, hyp, seed, family,
-                                              count):
+    def test_each_basis_and_design_built_once_per_sample(self, monkeypatch, hyp, seed,
+                                                         family):
         # the designs of grid 4..9 read 20 (variable, size) bases but only 12
         # distinct ones, sizes 4..9 of x1 and x2 (the interaction orders 4, 5,
-        # 5, 5, 6, 7 are among them); each is built once, and only if a null
-        # fit or a reached candidate's Z needs it: all 12 when a = 4 is picked
+        # 5, 5, 6, 7 are among them); each basis and each design is built once
         y, x1, x2 = gen_sample(DgpSpec(400, hyp, seed=seed))
-        real, built = design.build_basis, []
+        real_basis, real_design = design.build_basis, tuning.simulation_design
+        built, designs = [], []
 
-        def counting(v, spec, name="v"):
+        def counting_basis(v, spec, name="v"):
             built.append((name, spec.a))
-            return real(v, spec, name=name)
+            return real_basis(v, spec, name=name)
 
-        monkeypatch.setattr(design, "build_basis", counting)
+        def counting_design(x1, x2, a_n, *args):
+            designs.append(a_n)
+            return real_design(x1, x2, a_n, *args)
+
+        monkeypatch.setattr(design, "build_basis", counting_basis)
+        monkeypatch.setattr(tuning, "simulation_design", counting_design)
         grid = TuningGrid(tuple(range(4, 10)))
-        got = data_driven_decisions(y, x1, x2, grid, family=family)
-        reached = range(min(res.selected_a for res in got.values()), 10)
-        needed = ({("x2", a) for a in grid.candidates}
-                  | {("x1", a) for a in reached}
-                  | {(v, restricted_interaction_order(a)) for a in reached
-                     for v in ("x1", "x2")})
-        assert len(built) == len(set(built)) == count and set(built) == needed
+        data_driven_decisions(y, x1, x2, grid, family=family)
+        assert designs == list(grid.candidates)
+        assert sorted(built) == [(v, a) for v in ("x1", "x2") for a in grid.candidates]
 
     def inject(self, monkeypatch, r_n):
         """lm_statistic raising SingularMomentMatrixError for the candidate with r_n."""
