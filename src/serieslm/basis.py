@@ -143,7 +143,7 @@ def spline_basis(v, a: int, s: int = 3, knots=None, name: str = "v") -> BasisMat
 
     ``knots`` must have exactly ``a - s - 1`` nondecreasing entries; pass an
     empty sequence (or None with a == s + 1) for the knot-free case, which
-    coincides with ``power_basis(v, a)``.
+    coincides with ``power_basis(v, a)``.  The knot columns form one block.
     """
     arr = _as_vector(v)
     if s < 1:
@@ -158,15 +158,14 @@ def spline_basis(v, a: int, s: int = 3, knots=None, name: str = "v") -> BasisMat
     if knots.size and np.any(np.diff(knots) < 0):
         raise ValueError("knots must be nondecreasing")
 
-    cols = [np.vander(arr, s + 1, increasing=True)]
-    labels = [_power_label(name, j) for j in range(s + 1)]
-    for t in knots:
-        # bitwise np.where(arr > t, (arr - t) ** s, 0.0): the same pow on the
-        # same positive bases and +0.0 ** s = +0.0 elsewhere, but pow never
-        # sees a negative base, which takes libm's slow path
-        cols.append((np.where(arr > t, arr - t, 0.0) ** s)[:, None])
-        labels.append(f"{name}_tp{t!r}")
-    return BasisMatrix(np.column_stack(cols), tuple(labels))
+    # each knot's column is bitwise np.where(arr > t, (arr - t) ** s, 0.0): the
+    # same pow on the same positive bases and +0.0 ** s = +0.0 elsewhere, but
+    # pow never sees a negative base, which takes libm's slow path
+    v = arr[:, None]
+    vals = np.hstack([np.vander(arr, s + 1, increasing=True),
+                      np.where(v > knots, v - knots, 0.0) ** s])
+    return BasisMatrix(vals, tuple([_power_label(name, j) for j in range(s + 1)]
+                                   + [f"{name}_tp{t!r}" for t in knots]))
 
 
 def build_basis(v, spec: BasisSpec, name: str = "v") -> BasisMatrix:

@@ -74,6 +74,18 @@ class BootstrapResult:
         return self.p_value <= level
 
 
+def unreachable_levels(valid_draws: int, levels):
+    """(floor, unreachable, fewest): the add-one p-value's least value 1/(valid_draws
+    + 1), the levels below it, and the fewest valid draws that reach them (or None)."""
+    floor = 1.0 / (valid_draws + 1.0)
+    unreachable = [a for a in levels if floor > a]
+    if not unreachable:
+        return floor, unreachable, None
+    top = math.ceil(1.0 / min(unreachable))  # 1/level may round past an integer
+    return floor, unreachable, next(b for b in (top - 2, top - 1, top)
+                                    if 1.0 / (b + 1.0) <= min(unreachable))
+
+
 def _block_statistics(fit: FitResult, zt: np.ndarray, dist: str, seed: int,
                       draws: range) -> np.ndarray:
     """Standardized statistics of the given draws, NaN where the inner matrix is singular."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blas import single_threaded_lapack
-from .bootstrap import MULTIPLIERS, wild_bootstrap
+from .bootstrap import MULTIPLIERS, unreachable_levels, wild_bootstrap
 from .design import (MODEL, REQUIRED, ModelSpec, build_partially_linear, check_json,
                      screen_collinear)
 from .errors import (
@@ -139,6 +139,18 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
+def _note_unreachable(command: str, draws: int, n_failed: int, levels):
+    """One stderr line when ``draws`` bootstrap draws, ``n_failed`` of them
+    failed, leave the p-value too coarse to reject at some of ``levels``."""
+    floor, unreachable, fewest = unreachable_levels(draws - n_failed, levels)
+    if unreachable:
+        failed = f" ({n_failed} failed)" if n_failed else ""
+        print(f"{command}: note: the bootstrap p-value with --bootstrap {draws}{failed} "
+              f"is at least {_fmt(floor)}, so it cannot reject at alpha = "
+              f"{', '.join(f'{a:g}' for a in unreachable)}; --bootstrap {fewest} "
+              "is the fewest draws that can", file=sys.stderr)
+
+
 def cmd_test(args) -> int:
     cfg = _load_config(args.config)
     model = ModelSpec.from_dict(cfg["model"])
@@ -194,18 +206,7 @@ def cmd_test(args) -> int:
             "reject": {repr(a): star.reject(a) for a in levels},
         }
         print(f"bootstrap (B = {star.n_draws}, {args.dist}): p = {_fmt(star.p_value)}")
-        # the add-one p-value's least value; failed draws do not count
-        floor = 1.0 / (star.n_draws - star.n_failed + 1.0)
-        unreachable = [a for a in levels if floor > a]
-        if unreachable:
-            fewest = math.ceil(1.0 / min(unreachable)) - 2  # 1/alpha may round up
-            while 1.0 / (fewest + 1.0) > min(unreachable):
-                fewest += 1
-            failed = f" ({star.n_failed} failed)" if star.n_failed else ""
-            print(f"test: note: the bootstrap p-value with --bootstrap {args.bootstrap}"
-                  f"{failed} is at least {_fmt(floor)}, so it cannot reject at alpha = "
-                  f"{', '.join(f'{a:g}' for a in unreachable)}; --bootstrap {fewest} "
-                  "is the fewest draws that can", file=sys.stderr)
+        _note_unreachable("test", star.n_draws, star.n_failed, levels)
 
     _write_json(args.out, {
         "command": "test",
@@ -277,13 +278,12 @@ def cmd_tune(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    variants = tuple(args.variants.split(","))
     config = McConfig(
         replications=args.reps,
         n_values=tuple(args.n) if args.n else (250,),
         a_values=tuple(range(args.a_min, args.a_max + 1)),
         families=tuple(args.family) if args.family else ("power",),
-        variants=variants,
+        variants=tuple(args.variants.split(",")),
         hypotheses=tuple(args.hypotheses.split(",")),
         alphas=tuple(args.alpha) if args.alpha else (0.05,),
         seed=args.seed if args.seed is not None else 0,
@@ -291,6 +291,8 @@ def cmd_simulate(args) -> int:
         bootstrap_dist=args.dist or "rademacher",
         threads=args.threads,
     )
+    if "wild_bootstrap" in config.variants:
+        _note_unreachable("simulate", config.bootstrap_draws, 0, config.alphas)
     report = run_mc(config)
     workers, blas_threads, cores = report.plan
     if workers < config.threads:
@@ -303,7 +305,7 @@ def cmd_simulate(args) -> int:
     plot_path = f"{args.out}.dat"
     emit_report(report, csv_path, plot_path)
     print(f"wrote {csv_path} and {plot_path}")
-    width = max(len(v) for v in variants)
+    width = max(len(v) for v in config.variants)
     for row in report.rows:
         print(f"{row.variant:<{width}}  {row.family:<6} n={row.n:<5} "
               f"a_n={row.a_n:<2} {row.hypothesis:<11} alpha={row.alpha:g} "

@@ -4,13 +4,15 @@ The null model is linear in parameters: a single shared constant, the plain
 linear regressors, and the series expansions of the nonparametric components.
 The alternative block Z collects the extra series terms that can only enter
 when the null is false: higher own powers, tensor interactions, or a custom
-term list.  Columns are tracked by canonical labels so that anything already
-present in W is never duplicated in Z, and ``screen_collinear`` removes Z
-columns that are numerically inside the span of what came before them.
+term list.  Both are stacked from whole blocks whose canonical labels alone
+decide the Z columns kept, so nothing already in W is duplicated in Z, and
+``screen_collinear`` removes Z columns that are numerically inside the span of
+what came before them.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, replace
 from itertools import combinations
@@ -154,22 +156,15 @@ class ModelSpec:
         return tuple(dict.fromkeys(names))
 
     def to_dict(self) -> dict:
-        return {
-            "linear_vars": list(self.linear_vars),
-            "series_vars": [
-                {"var": v, "family": s.family, "a": s.a, "spline_order": s.spline_order}
-                for v, s in self.series_vars
-            ],
-            "alternative": {
-                "recipe": self.alternative.recipe,
-                "basis": [
-                    {"var": v, "family": s.family, "a": s.a,
-                     "spline_order": s.spline_order}
-                    for v, s in self.alternative.basis
-                ],
-                "custom_terms": list(self.alternative.custom_terms),
-            },
-        }
+        def entries(bases):
+            return [{"var": v, "family": s.family, "a": s.a, "spline_order": s.spline_order}
+                    for v, s in bases]
+
+        alt = self.alternative
+        return {"linear_vars": list(self.linear_vars),
+                "series_vars": entries(self.series_vars),
+                "alternative": {"recipe": alt.recipe, "basis": entries(alt.basis),
+                                "custom_terms": list(alt.custom_terms)}}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
@@ -257,10 +252,11 @@ def _term_label(factors) -> str:
 def build_partially_linear(data, spec: ModelSpec, bases=None) -> DesignPair:
     """Build (W, Z) for a partially linear null against the chosen alternative.
 
-    ``data`` maps variable names to equal-length numeric vectors.  W holds a
-    single constant, the linear regressors, and each series expansion without
-    its own constant; Z holds the alternative terms whose canonical label is
-    not already in W.  ``bases``, a dict keyed by (variable, BasisSpec), holds
+    ``data`` maps variable names to equal-length numeric vectors.  W stacks
+    the blocks of a single constant, the linear regressors and each series
+    expansion without its constant (a repeated label is an error); Z stacks
+    the alternative blocks less each column whose label is already in W or
+    earlier in Z.  ``bases``, a dict keyed by (variable, BasisSpec), holds
     the bases already built on this same ``data`` and gains the ones built
     here, so the designs of one sample can share it.
     """
@@ -285,56 +281,51 @@ def build_partially_linear(data, spec: ModelSpec, bases=None) -> DesignPair:
             bases[var, bspec] = build_basis(column(var), bspec, name=var)
         return bases[var, bspec]
 
-    def own_terms(var: str, bspec: BasisSpec):
+    def own_block(var: str, bspec: BasisSpec):
         b = basis(var, bspec)
-        return zip(b.column_labels[1:], b.values[:, 1:].T)
+        return b.column_labels[1:], b.values[:, 1:]
 
-    def null_terms():
-        for var in spec.linear_vars:
-            yield var, column(var)
-        for var, bspec in spec.series_vars:
-            yield from own_terms(var, bspec)
+    null = [(("const",), np.ones((n, 1))),
+            *(((var,), column(var)[:, None]) for var in spec.linear_vars),
+            *(own_block(var, bspec) for var, bspec in spec.series_vars)]
+    w_labels = [label for labels, _ in null for label in labels]
+    seen = set(w_labels)
+    if len(seen) < len(w_labels):
+        label = next(label for i, label in enumerate(w_labels) if label in w_labels[:i])
+        raise DesignError(f"duplicate column {label!r} in null design")
 
-    def alt_terms():
-        alt = spec.alternative
-        if alt.recipe == "custom":
-            for term in alt.custom_terms:
-                factors = parse_term(term)
-                col = np.ones(n)
-                for var, power in factors:
-                    col = col * column(var) ** power
-                yield _term_label(factors), col
-            return
-        for var, bspec in alt.basis:
-            yield from own_terms(var, bspec)
-        if alt.recipe == "additive_only":
-            return
-        if alt.recipe == "restricted_tensor":
-            inter = [basis(v, replace(s, a=restricted_interaction_order(s.a)))
-                     for v, s in alt.basis]
-        else:
-            inter = [basis(v, s) for v, s in alt.basis]
-        for b1, b2 in combinations(inter, 2):
-            labels = ("*".join(sorted((l1, l2))) for l1 in b1.column_labels[1:]
-                      for l2 in b2.column_labels[1:])
-            yield from zip(labels, tensor_interactions(b1, b2).T)
+    alt = spec.alternative
+    if alt.recipe == "custom":
+        terms = [parse_term(term) for term in alt.custom_terms]
+        extra = [([_term_label(t) for t in terms], np.column_stack(
+            [math.prod(column(v) ** p for v, p in t) for t in terms]))]
+    else:
+        extra = [own_block(var, bspec) for var, bspec in alt.basis]
+    shrink = alt.recipe == "restricted_tensor"
+    inter = [basis(v, replace(s, a=restricted_interaction_order(s.a)) if shrink else s)
+             for v, s in alt.basis] if alt.recipe.endswith("_tensor") else []
+    for b1, b2 in combinations(inter, 2):
+        labels = ["*".join(sorted((l1, l2))) for l1 in b1.column_labels[1:]
+                  for l2 in b2.column_labels[1:]]
+        extra.append((labels, tensor_interactions(b1, b2)))
 
-    w = {"const": np.ones(n)}
-    for label, col in null_terms():
-        if label in w:
-            raise DesignError(f"duplicate column {label!r} in null design")
-        w[label] = col
-    z = {}
-    for label, col in alt_terms():
-        if label not in w:
-            z.setdefault(label, col)
+    # a Z label already in W or earlier in Z is dropped, with its column; take()
+    # leaves a sliced block C-ordered, like the others, so products see one layout
+    z_labels, z_blocks = [], [np.empty((n, 0))]
+    for labels, block in extra:
+        keep = []
+        for j, label in enumerate(labels):
+            if label not in seen:
+                seen.add(label)
+                keep.append(j)
+        z_labels += [labels[j] for j in keep]
+        z_blocks.append(block if len(keep) == len(labels) else block.take(keep, 1))
 
-    k_n = len(w) + len(z)
+    k_n = len(w_labels) + len(z_labels)
     if n <= k_n:
         raise DesignError(f"need n > k_n (got n={n}, k_n={k_n})")
-    return DesignPair(np.column_stack(list(w.values())),
-                      np.column_stack(list(z.values())) if z else np.empty((n, 0)),
-                      tuple(w), tuple(z))
+    return DesignPair(np.hstack([block for _, block in null]), np.hstack(z_blocks),
+                      w_labels, z_labels)
 
 
 def simulation_design(x1, x2, a_n: int, family: str = "power",
@@ -378,8 +369,8 @@ def screen_collinear(pair: DesignPair, tol: float = 1e-10):
         raise ValueError("tolerance must be positive")
     # orthonormal basis of W, grown as Z columns are accepted
     basis = ols_fit(pair.w, np.zeros(pair.n_obs), column_labels=pair.w_labels).ortho
-    kept_cols, kept_labels, dropped = [], [], []
-    for label, col in zip(pair.z_labels, pair.z.T):
+    kept, dropped = [], []
+    for j, (label, col) in enumerate(zip(pair.z_labels, pair.z.T)):
         norm2 = float(col @ col)
         resid = col - basis @ (basis.T @ col)
         resid -= basis @ (basis.T @ resid)  # second pass for orthogonality
@@ -387,9 +378,8 @@ def screen_collinear(pair: DesignPair, tol: float = 1e-10):
         if norm2 == 0.0 or r2 < tol * norm2:
             dropped.append(label)
             continue
-        kept_cols.append(col)
-        kept_labels.append(label)
+        kept.append(j)
         basis = np.column_stack([basis, resid / np.sqrt(r2)])
 
-    z = np.column_stack(kept_cols) if kept_cols else np.empty((pair.n_obs, 0))
-    return DesignPair(pair.w, z, pair.w_labels, tuple(kept_labels)), dropped
+    return DesignPair(pair.w, pair.z.take(kept, 1), pair.w_labels,
+                      [pair.z_labels[j] for j in kept]), dropped

@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._blas import numpy_blas_threads, pin_worker_lapack, single_threaded_lapack
-from .bootstrap import wild_bootstrap
+from .bootstrap import MULTIPLIERS, wild_bootstrap
 from .design import simulation_design
 from .distributions import normal_quantile
 from .errors import SeriesLMError
@@ -152,10 +152,11 @@ class McConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise ValueError("need at least one replication")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, not {self.threads}")
+        for name in ("replications", "threads", "bootstrap_draws"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, not {getattr(self, name)}")
+        if self.bootstrap_dist not in MULTIPLIERS:
+            raise ValueError(f"bootstrap_dist must be one of {MULTIPLIERS}")
         known = {"families": tuple(_FAMILY_CODE), "variants": MC_VARIANTS,
                  "hypotheses": HYPOTHESES}
         for name in ("n_values", "a_values", "families", "variants", "hypotheses",
@@ -166,7 +167,7 @@ class McConfig:
             unknown = [v for v in values if name in known and v not in known[name]]
             if unknown:
                 raise ValueError(f"unknown {name} {unknown}; known: {known[name]}")
-            object.__setattr__(self, name, values)
+            object.__setattr__(self, name, tuple(dict.fromkeys(values)))  # no repeats
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
         small = [n for n in self.n_values if n < MIN_SAMPLE_SIZE]
         if small:
@@ -417,12 +418,7 @@ def emit_report(report: McReport, csv_path, plot_path=None):
 
     fixed_rows = [r for r in report.rows if r.a_n != 0]
     blocks = []
-    seen = []
-    for r in fixed_rows:
-        key = (r.family, r.n, r.hypothesis, r.alpha)
-        if key not in seen:
-            seen.append(key)
-    for key in seen:
+    for key in dict.fromkeys((r.family, r.n, r.hypothesis, r.alpha) for r in fixed_rows):
         family, n, hyp, alpha = key
         sub = [r for r in fixed_rows
                if (r.family, r.n, r.hypothesis, r.alpha) == key]

@@ -53,8 +53,8 @@ class TuningGrid:
         if cand[0] < SIMULATION_A_MIN:
             raise ValueError(f"grid candidates must be >= {SIMULATION_A_MIN}, "
                              f"not {cand[0]}")
-        if self.c < 1.0:
-            raise ValueError("penalty constant c must be >= 1")
+        if not 1.0 <= self.c < math.inf:  # nan and inf leave select_r no maximum
+            raise ValueError(f"penalty constant c must be finite and >= 1, not {self.c}")
         object.__setattr__(self, "candidates", cand)
 
 

@@ -230,3 +230,35 @@ class TestBlockedDraws:
         self.vanishing_multipliers(monkeypatch, {63, 130})
         with pytest.raises(SingularMomentMatrixError, match="2 of 199 bootstrap draws"):
             bt.wild_bootstrap(fit, zt, 0.0, n_draws=199, seed=2)
+
+
+class TestUnreachableLevels:
+    @staticmethod
+    def fewest_by_search(level):
+        # the least B with 1/(B + 1) <= level, searched upward from a B that
+        # fails it (1/(B + 1) only falls as B grows)
+        draws = max(0, math.floor(1.0 / level) - 3)
+        assert draws == 0 or 1.0 / (draws + 1.0) > level
+        while 1.0 / (draws + 1.0) > level:
+            draws += 1
+        return draws
+
+    def test_fewest_equals_a_search_at_the_rounding_edges(self):
+        # levels on, just above and just below each floor 1/(B + 1), where
+        # 1/level may round to either side of the integer
+        for b in [*range(1, 2000), 9999, 99999, 10 ** 9]:
+            exact = 1.0 / (b + 1.0)
+            for level in (exact, math.nextafter(exact, 0.0), math.nextafter(exact, 1.0),
+                          math.nextafter(math.nextafter(exact, 0.0), 0.0)):
+                floor, unreachable, fewest = bt.unreachable_levels(0, [level])
+                assert (floor, unreachable) == (1.0, [level])
+                assert fewest == self.fewest_by_search(level), level
+
+    @pytest.mark.parametrize("valid,levels,expected", [
+        (9, (0.05,), (0.1, [0.05], 19)),
+        (1, (0.1, 0.6, 0.01), (0.5, [0.1, 0.01], 99)),
+        (198, (0.005,), (1.0 / 199.0, [0.005], 199)),
+        (19, (0.05, 0.1), (0.05, [], None)),
+    ])
+    def test_floor_unreachable_and_fewest(self, valid, levels, expected):
+        assert bt.unreachable_levels(valid, levels) == expected

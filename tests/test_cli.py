@@ -600,6 +600,16 @@ class TestCmdTune:
                "c": 2.5}
         assert {key: payload[key] for key in ran} == ran
 
+    @pytest.mark.parametrize("c", ["nan", "inf"])
+    def test_non_finite_penalty_is_input_error(self, tmp_path, capsys, c):
+        # both passed the c >= 1 check and then left select_r without a
+        # maximum: an uncaught KeyError and exit 1
+        data = write_sim_csv(tmp_path / "d.csv")
+        assert main(["tune", "--data", str(data), "--y", "y", "--x1", "x1",
+                     "--x2", "x2", "--c", c]) == 2
+        err = capsys.readouterr().err
+        assert err == f"input error: penalty constant c must be finite and >= 1, not {c}\n"
+
     def test_tuned_test_missing_column_is_input_error(self, tmp_path, capsys):
         # an input error naming the column, not an uncaught KeyError
         data = tmp_path / "d.csv"
@@ -792,6 +802,43 @@ class TestCmdSimulate:
         assert code == 2
         assert named in captured.err and captured.out == ""
         assert started == [] and not (tmp_path / "x.csv").exists()
+
+    def test_repeated_variant_prints_one_row(self, tmp_path, capsys):
+        args = ["simulate", "--reps", "6", "--n", "120", "--a-min", "4", "--a-max", "4",
+                "--hypotheses", "alternative"]
+        assert main(args + ["--variants", "ols_short", "--out", str(tmp_path / "a")]) == 0
+        once = capsys.readouterr().out
+        assert main(args + ["--variants", "ols_short,ols_short",
+                            "--out", str(tmp_path / "b")]) == 0
+        twice = capsys.readouterr().out
+        assert twice.replace(str(tmp_path / "b"), str(tmp_path / "a")) == once
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("draws,note", [
+        ("9", "simulate: note: the bootstrap p-value with --bootstrap 9 is at least 0.1, "
+              "so it cannot reject at alpha = 0.05; --bootstrap 19 is the fewest draws "
+              "that can\n"),
+        ("19", ""),
+    ])
+    def test_bootstrap_too_small_to_reject_is_noted(self, tmp_path, capsys, draws, note):
+        # the rule of the `test` note: the add-one p-value is at least 1/(B + 1)
+        assert main(["simulate", "--reps", "2", "--n", "120", "--a-min", "4",
+                     "--a-max", "4", "--hypotheses", "alternative", "--variants",
+                     "wild_bootstrap", "--bootstrap", draws,
+                     "--out", str(tmp_path / "x")]) == 0
+        assert capsys.readouterr().err == note
+
+    @pytest.mark.parametrize("flags,named", [
+        (["--bootstrap", "-3"], "bootstrap_draws must be >= 1, not -3"),
+        (["--bootstrap", "0"], "bootstrap_draws must be >= 1, not 0"),
+    ], ids=["negative", "zero"])
+    def test_bad_bootstrap_draws_are_input_errors(self, tmp_path, capsys, monkeypatch,
+                                                  flags, named):
+        started = []
+        monkeypatch.setattr(cli, "run_mc", started.append)
+        assert main(["simulate", "--reps", "2", "--out", str(tmp_path / "x")]
+                    + flags) == 2
+        assert named in capsys.readouterr().err and started == []
 
 
 class TestHelp:

@@ -1,12 +1,16 @@
 """Design assembly: term-count progressions, recipes, collinearity screening."""
 
 import re
+from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from serieslm.basis import BasisSpec
+from serieslm.basis import BasisSpec, build_basis, restricted_interaction_order
 from serieslm.design import (
+    RECIPES,
     AlternativeSpec,
     DesignPair,
     ModelSpec,
@@ -266,6 +270,104 @@ class TestBuildPartiallyLinear:
         with pytest.raises(ValueError,
                            match=re.escape(f"missing model key 'series_vars[0].{key}'")):
             ModelSpec.from_dict(d)
+
+
+def per_column_design(data, spec):
+    """(W, Z, W labels, Z labels) assembled one labelled column at a time.
+
+    The oracle of the label rule: W's columns in order, a repeated W label an
+    error; then each alternative column, dropped when its label is already in
+    W or earlier in Z.
+    """
+    def col(var):
+        return np.asarray(data[var], dtype=float)
+
+    def own(var, bspec, shrink=False):
+        if shrink:
+            bspec = replace(bspec, a=restricted_interaction_order(bspec.a))
+        b = build_basis(col(var), bspec, name=var)
+        return list(zip(b.column_labels[1:], b.values[:, 1:].T))
+
+    n = col(spec.variables[0]).shape[0]
+    w = {"const": np.ones(n)}
+    for label, c in ([(v, col(v)) for v in spec.linear_vars]
+                     + [t for v, bspec in spec.series_vars for t in own(v, bspec)]):
+        if label in w:
+            raise DesignError(f"duplicate column {label!r} in null design")
+        w[label] = c
+    alt, terms = spec.alternative, []
+    if alt.recipe == "custom":
+        for term in alt.custom_terms:
+            factors, c = parse_term(term), np.ones(n)
+            for var, power in factors:
+                c = c * col(var) ** power
+            terms.append(("*".join(_monomial(v, p) for v, p in factors), c))
+    else:
+        terms = [t for v, bspec in alt.basis for t in own(v, bspec)]
+    if alt.recipe.endswith("_tensor"):
+        bases = [own(v, bspec, alt.recipe == "restricted_tensor") for v, bspec in alt.basis]
+        for b1, b2 in combinations(bases, 2):
+            terms += [("*".join(sorted((l1, l2))), c1 * c2) for l1, c1 in b1 for l2, c2 in b2]
+    z = {}
+    for label, c in terms:
+        if label not in w:
+            z.setdefault(label, c)
+    if n <= len(w) + len(z):
+        raise DesignError(f"need n > k_n (got n={n}, k_n={len(w) + len(z)})")
+    return (np.column_stack(list(w.values())),
+            np.column_stack(list(z.values())) if z else np.empty((n, 0)), tuple(w), tuple(z))
+
+
+NAMES = ("x1", "x2", "x3")
+
+
+@st.composite
+def models(draw):
+    """A model over x1, x2 and x3 (x3 takes 5 values, so spline knots tie)."""
+    family = draw(st.sampled_from(["power", "spline"]))
+
+    def bspec():
+        order = draw(st.integers(1, 3))
+        return BasisSpec(family, draw(st.integers(order + 1, 7)), order)
+
+    names = draw(st.permutations(NAMES))
+    n_linear = draw(st.integers(0, 2))
+    n_series = draw(st.integers(0 if n_linear else 1, 3 - n_linear))
+    recipe = draw(st.sampled_from(RECIPES))
+    if recipe == "custom":
+        # few variables and powers: repeated, reordered and already-in-W terms
+        factor = st.tuples(st.sampled_from(NAMES), st.integers(1, 3))
+        terms = draw(st.lists(st.lists(factor, min_size=1, max_size=3), min_size=1,
+                              max_size=12))
+        alt = AlternativeSpec(recipe, custom_terms=[
+            "*".join(_monomial(v, p) for v, p in t) for t in terms])
+    else:
+        # a linear variable expanded again under the alternative is common
+        alt_vars = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=3,
+                                 unique=True))
+        alt = AlternativeSpec(recipe, [(v, bspec()) for v in alt_vars])
+    return ModelSpec(names[:n_linear],
+                     [(v, bspec()) for v in names[n_linear:n_linear + n_series]], alt)
+
+
+class TestLabelRule:
+    @settings(max_examples=300, deadline=None)
+    @given(spec=models(), seed=st.integers(0, 2 ** 32 - 1), n=st.integers(30, 160))
+    def test_blocks_equal_the_per_column_assembly(self, spec, seed, n):
+        rng = np.random.default_rng(seed)
+        data = {"x1": rng.normal(size=n), "x2": rng.uniform(-2.0, 2.0, n),
+                "x3": rng.integers(0, 5, n).astype(float)}
+        try:
+            want = per_column_design(data, spec)
+        except DesignError as exc:
+            with pytest.raises(DesignError, match=re.escape(str(exc))):
+                build_partially_linear(data, spec)
+            return
+        got = build_partially_linear(data, spec)
+        assert (got.w_labels, got.z_labels) == want[2:]
+        assert got.z.shape == want[1].shape
+        assert np.array_equal(got.w.view(np.int64), want[0].view(np.int64))
+        assert np.array_equal(got.z.view(np.int64), want[1].view(np.int64))
 
 
 class TestParseTerm:

@@ -148,6 +148,41 @@ class TestRunMc:
     def test_repeated_alphas_kept_once_in_first_seen_order(self):
         assert tiny_config(alphas=(0.1, 0.05, 0.1, 5e-2)).alphas == (0.1, 0.05)
 
+    @pytest.mark.parametrize("name,repeated,once", [
+        ("variants", ("ols_short", "ols_short"), ("ols_short",)),
+        ("variants", ("data_driven_cp", "ols_short", "data_driven_cp"),
+         ("data_driven_cp", "ols_short")),
+        ("n_values", (120, 60, 120), (120, 60)),
+    ], ids=["variant", "data-driven-variant", "n"])
+    def test_repeated_axis_value_runs_once(self, name, repeated, once):
+        # a repeated variant used to sum its statistic and its rejections
+        # twice into one row key, and a repeated n ran its cells twice
+        kwargs = dict(replications=6, a_values=(4, 5), hypotheses=("alternative",),
+                      alphas=(0.05,))
+        config = tiny_config(**kwargs, **{name: repeated})
+        assert getattr(config, name) == once
+        report, expected = run_mc(config), run_mc(tiny_config(**kwargs, **{name: once}))
+        assert report.to_csv() == expected.to_csv()
+        assert ([row.mean_statistic for row in report.rows]
+                == [row.mean_statistic for row in expected.rows])
+
+    @pytest.mark.parametrize("name,repeated,once", [
+        ("families", ("spline", "power", "spline"), ("spline", "power")),
+        ("hypotheses", ("alternative", "null", "null"), ("alternative", "null")),
+        ("a_values", (5, 4, 5, 4), (5, 4)),
+    ])
+    def test_other_axes_drop_repeats_in_first_seen_order(self, name, repeated, once):
+        assert getattr(tiny_config(**{name: repeated}), name) == once
+
+    @pytest.mark.parametrize("kwargs,named", [
+        (dict(bootstrap_draws=0), "bootstrap_draws must be >= 1, not 0"),
+        (dict(bootstrap_draws=-3), "bootstrap_draws must be >= 1, not -3"),
+        (dict(bootstrap_dist="gauss"), "bootstrap_dist must be one of"),
+    ], ids=["zero-draws", "negative-draws", "unknown-dist"])
+    def test_bootstrap_settings_checked_when_built(self, kwargs, named):
+        with pytest.raises(ValueError, match=named):
+            tiny_config(**kwargs)
+
     def test_mean_statistic_recorded(self):
         report = run_mc(tiny_config(replications=10, hypotheses=("null",)))
         assert np.isfinite(report.mean_statistic("ols_short", "power", 120, 4,
