@@ -9,9 +9,7 @@ selection, and a reproducible Monte Carlo harness.
 """
 
 from .basis import (
-    BasisMatrix,
     BasisSpec,
-    power_basis,
     quantile_knots,
     restricted_interaction_order,
     spline_basis,
@@ -51,7 +49,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlternativeSpec",
-    "BasisMatrix",
     "BasisSpec",
     "BootstrapResult",
     "DesignError",
@@ -83,7 +80,6 @@ __all__ = [
     "normal_cdf",
     "normal_quantile",
     "ols_fit",
-    "power_basis",
     "quantile_knots",
     "residualize_block",
     "restricted_interaction_order",

@@ -1,16 +1,19 @@
 """Univariate series bases and restricted tensor-product interactions.
 
-Two families are supported: raw power series ``(1, v, v^2, ...)`` and
-truncated-power splines ``(1, v, ..., v^s, (v - t_1)_+^s, ...)`` with knots
-placed at empirical quantiles.  The basis size ``a`` always counts the
-constant, so a spline of order ``s`` needs ``a >= s + 1`` and carries
-``a - s - 1`` knots; with zero knots the two families coincide.
+Two families are supported: raw power series ``v, v^2, ..., v^(a-1)`` and
+truncated-power splines ``v, ..., v^s, (v - t_1)_+^s, ...`` with knots placed
+at empirical quantiles.  A basis is a constant-free ``(labels, block)`` pair:
+the design's W supplies the one constant, so no basis carries its own.  The
+basis size ``a`` still counts that constant, so a spline of order ``s`` needs
+``a >= s + 1`` and carries ``a - s - 1`` knots, and a power basis of size
+``a`` is the knot-free spline of order ``a - 1``: both go through
+``spline_basis``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,8 +21,6 @@ from .errors import DesignError
 
 __all__ = [
     "BasisSpec",
-    "BasisMatrix",
-    "power_basis",
     "quantile_knots",
     "spline_basis",
     "build_basis",
@@ -39,7 +40,8 @@ class BasisSpec:
     family : str
         "power" or "spline".
     a : int
-        Number of basis terms, including the constant.
+        Number of basis terms, counting the constant that W supplies; the
+        evaluated block has ``a - 1`` columns.
     spline_order : int
         Order s of the truncated-power spline (cubic by default); ignored
         for the power family.  A spline carries ``a - s - 1`` knots at the
@@ -70,27 +72,6 @@ class BasisSpec:
         return self.a - self.spline_order - 1
 
 
-@dataclass(frozen=True)
-class BasisMatrix:
-    """Evaluated basis: an n-by-a matrix whose first column is the constant."""
-
-    values: np.ndarray
-    column_labels: tuple = field(default=())
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 2:
-            raise ValueError("basis values must be a 2-d array")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("basis contains non-finite entries")
-        if vals.shape[1] >= 1 and not np.all(vals[:, 0] == 1.0):
-            raise ValueError("first basis column must be the constant")
-        if len(self.column_labels) != vals.shape[1]:
-            raise ValueError("one label per column required")
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "column_labels", tuple(self.column_labels))
-
-
 def _as_vector(v, what="input"):
     arr = np.asarray(v, dtype=float).ravel()
     if arr.size < 1:
@@ -101,22 +82,7 @@ def _as_vector(v, what="input"):
 
 
 def _power_label(name: str, j: int) -> str:
-    if j == 0:
-        return "const"
-    if j == 1:
-        return name
-    return f"{name}^{j}"
-
-
-def power_basis(v, a: int, name: str = "v") -> BasisMatrix:
-    """Raw powers 1, v, ..., v^(a-1) evaluated at the sample points."""
-    arr = _as_vector(v)
-    if a < 1:
-        raise ValueError("basis size a must be >= 1")
-    vals = np.vander(arr, a, increasing=True)
-    # a list, not a generator (see design.AlternativeSpec)
-    labels = tuple([_power_label(name, j) for j in range(a)])
-    return BasisMatrix(vals, labels)
+    return name if j == 1 else f"{name}^{j}"
 
 
 def quantile_knots(v, q: int) -> np.ndarray:
@@ -138,16 +104,18 @@ def quantile_knots(v, q: int) -> np.ndarray:
     return np.quantile(arr, levels)
 
 
-def spline_basis(v, a: int, s: int = 3, knots=None, name: str = "v") -> BasisMatrix:
-    """Truncated-power spline basis 1, v, ..., v^s, (v - t_k)_+^s.
+def spline_basis(v, a: int, s: int = 3, knots=None, name: str = "v") -> tuple:
+    """Truncated-power spline basis v, ..., v^s, (v - t_k)_+^s, without its constant.
 
-    ``knots`` must have exactly ``a - s - 1`` nondecreasing entries; pass an
-    empty sequence (or None with a == s + 1) for the knot-free case, which
-    coincides with ``power_basis(v, a)``.  The knot columns form one block.
+    Returns ``(labels, block)`` with an ``n x (a - 1)`` block.  ``knots``
+    must have exactly ``a - s - 1`` nondecreasing entries; pass an empty
+    sequence (or None with a == s + 1) for the knot-free case, which is the
+    power basis of size ``a`` (order s = 0 is allowed there, giving the
+    empty block of ``a = 1``).  The knot columns form one block.
     """
     arr = _as_vector(v)
-    if s < 1:
-        raise ValueError("spline order must be >= 1")
+    if s < (1 if a > s + 1 else 0):
+        raise ValueError("spline order must be >= 1, or >= 0 without knots")
     if a < s + 1:
         raise ValueError(f"spline basis needs a >= s + 1 (got a={a}, s={s})")
     knots = np.empty(0) if knots is None else np.asarray(knots, dtype=float).ravel()
@@ -158,21 +126,32 @@ def spline_basis(v, a: int, s: int = 3, knots=None, name: str = "v") -> BasisMat
     if knots.size and np.any(np.diff(knots) < 0):
         raise ValueError("knots must be nondecreasing")
 
+    labels = tuple([_power_label(name, j) for j in range(1, s + 1)]
+                   + [f"{name}_tp{float(t)!r}" for t in knots])
+    powers = np.vander(arr, s + 1, increasing=True)[:, 1:]
+    if not knots.size:
+        return labels, powers
     # each knot's column is bitwise np.where(arr > t, (arr - t) ** s, 0.0): the
     # same pow on the same positive bases and +0.0 ** s = +0.0 elsewhere, but
     # pow never sees a negative base, which takes libm's slow path
     v = arr[:, None]
-    vals = np.hstack([np.vander(arr, s + 1, increasing=True),
-                      np.where(v > knots, v - knots, 0.0) ** s])
-    return BasisMatrix(vals, tuple([_power_label(name, j) for j in range(s + 1)]
-                                   + [f"{name}_tp{t!r}" for t in knots]))
+    return labels, np.hstack([powers, np.where(v > knots, v - knots, 0.0) ** s])
 
 
-def build_basis(v, spec: BasisSpec, name: str = "v") -> BasisMatrix:
-    """Evaluate a BasisSpec on a sample, placing knots from the sample itself."""
+def build_basis(v, spec: BasisSpec, name: str = "v") -> tuple:
+    """``(labels, block)`` of a BasisSpec on a sample, knots placed from the sample.
+
+    A power basis is the knot-free spline of order ``a - 1``.  Quantile knots
+    that coincide (tied data) or reach the sample maximum would give repeated
+    or all-zero columns, so they are a DesignError naming the variable.
+    """
     if spec.family == "power":
-        return power_basis(v, spec.a, name=name)
+        return spline_basis(v, spec.a, spec.a - 1, name=name)
     knots = quantile_knots(v, spec.n_knots)
+    if knots.size and (np.any(np.diff(knots) <= 0) or knots[-1] >= np.max(v)):
+        raise DesignError(
+            f"variable {name!r} has {np.unique(v).size} distinct values, too few "
+            f"for {knots.size} distinct spline knots below its maximum")
     return spline_basis(v, spec.a, spec.spline_order, knots, name=name)
 
 
@@ -188,18 +167,14 @@ def restricted_interaction_order(a: int) -> int:
     return max(min(a, 5), math.floor(a ** 0.9))
 
 
-def tensor_interactions(b1: BasisMatrix, b2: BasisMatrix) -> np.ndarray:
-    """All products of non-constant columns of two bases.
+def tensor_interactions(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """All products of the columns of two constant-free basis blocks.
 
-    Returns an ``n x (p-1)(q-1)`` array whose columns run over the terms of
-    ``b2`` fastest; the constant columns are dropped before multiplying so
-    plain univariate terms never reappear here.
+    Returns an ``n x p q`` array whose columns run over the columns of
+    ``right`` fastest; neither block holds a constant, so plain univariate
+    terms never reappear here.
     """
-    m1, m2 = b1.values, b2.values
-    if m1.shape[0] != m2.shape[0]:
+    if left.shape[0] != right.shape[0]:
         raise DesignError("interaction inputs must have equal row counts")
-    left = m1[:, 1:]
-    right = m2[:, 1:]
     prods = left[:, :, None] * right[:, None, :]
-    return prods.reshape(m1.shape[0], -1)
-
+    return prods.reshape(left.shape[0], -1)

@@ -2,12 +2,13 @@
 
 The null model is linear in parameters: a single shared constant, the plain
 linear regressors, and the series expansions of the nonparametric components.
-The alternative block Z collects the extra series terms that can only enter
-when the null is false: higher own powers, tensor interactions, or a custom
-term list.  Both are stacked from whole blocks whose canonical labels alone
-decide the Z columns kept, so nothing already in W is duplicated in Z, and
-``screen_collinear`` removes Z columns that are numerically inside the span of
-what came before them.
+Every basis is a constant-free ``(labels, block)`` pair, so W's one constant
+column is the only one.  The alternative block Z collects the extra series
+terms that can only enter when the null is false: higher own powers, tensor
+interactions, or a custom term list.  Both are stacked from whole blocks
+whose canonical labels alone decide the Z columns kept, so nothing already in
+W is duplicated in Z, and ``screen_collinear`` removes Z columns that are
+numerically inside the span of what came before them.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from itertools import combinations
 import numpy as np
 
 from .basis import (
-    BasisMatrix,
     BasisSpec,
     _power_label,
     build_basis,
@@ -253,8 +253,8 @@ def build_partially_linear(data, spec: ModelSpec, bases=None) -> DesignPair:
     """Build (W, Z) for a partially linear null against the chosen alternative.
 
     ``data`` maps variable names to equal-length numeric vectors.  W stacks
-    the blocks of a single constant, the linear regressors and each series
-    expansion without its constant (a repeated label is an error); Z stacks
+    the blocks of a single constant, the linear regressors and each
+    constant-free series expansion (a repeated label is an error); Z stacks
     the alternative blocks less each column whose label is already in W or
     earlier in Z.  ``bases``, a dict keyed by (variable, BasisSpec), holds
     the bases already built on this same ``data`` and gains the ones built
@@ -276,18 +276,14 @@ def build_partially_linear(data, spec: ModelSpec, bases=None) -> DesignPair:
     n = column(spec.variables[0]).shape[0]
     bases = {} if bases is None else bases
 
-    def basis(var: str, bspec: BasisSpec) -> BasisMatrix:
+    def basis(var: str, bspec: BasisSpec) -> tuple:
         if (var, bspec) not in bases:
             bases[var, bspec] = build_basis(column(var), bspec, name=var)
         return bases[var, bspec]
 
-    def own_block(var: str, bspec: BasisSpec):
-        b = basis(var, bspec)
-        return b.column_labels[1:], b.values[:, 1:]
-
     null = [(("const",), np.ones((n, 1))),
             *(((var,), column(var)[:, None]) for var in spec.linear_vars),
-            *(own_block(var, bspec) for var, bspec in spec.series_vars)]
+            *(basis(var, bspec) for var, bspec in spec.series_vars)]
     w_labels = [label for labels, _ in null for label in labels]
     seen = set(w_labels)
     if len(seen) < len(w_labels):
@@ -300,13 +296,12 @@ def build_partially_linear(data, spec: ModelSpec, bases=None) -> DesignPair:
         extra = [([_term_label(t) for t in terms], np.column_stack(
             [math.prod(column(v) ** p for v, p in t) for t in terms]))]
     else:
-        extra = [own_block(var, bspec) for var, bspec in alt.basis]
+        extra = [basis(var, bspec) for var, bspec in alt.basis]
     shrink = alt.recipe == "restricted_tensor"
     inter = [basis(v, replace(s, a=restricted_interaction_order(s.a)) if shrink else s)
              for v, s in alt.basis] if alt.recipe.endswith("_tensor") else []
-    for b1, b2 in combinations(inter, 2):
-        labels = ["*".join(sorted((l1, l2))) for l1 in b1.column_labels[1:]
-                  for l2 in b2.column_labels[1:]]
+    for (labels1, b1), (labels2, b2) in combinations(inter, 2):
+        labels = ["*".join(sorted((l1, l2))) for l1 in labels1 for l2 in labels2]
         extra.append((labels, tensor_interactions(b1, b2)))
 
     # a Z label already in W or earlier in Z is dropped, with its column; take()

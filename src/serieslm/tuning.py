@@ -128,7 +128,7 @@ class DataDrivenResult:
 def _null_fit(y, x1, x2, a: int, family: str, bases: dict) -> tuple:
     """(a, null fit, Z) of one grid candidate; its W dies on return."""
     pair = simulation_design(x1, x2, a, family, bases)
-    return a, ols_fit(pair.w, y), pair.z
+    return a, ols_fit(pair.w, y, column_labels=pair.w_labels), pair.z
 
 
 def _row(a: int, fit, z) -> tuple:

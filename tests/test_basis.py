@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from serieslm.basis import (
-    BasisMatrix,
     BasisSpec,
-    power_basis,
+    build_basis,
     quantile_knots,
     restricted_interaction_order,
     spline_basis,
@@ -16,32 +15,63 @@ from serieslm.basis import (
 from serieslm.errors import DesignError
 
 
+def power(v, a, name="v"):
+    return build_basis(v, BasisSpec("power", a), name=name)
+
+
+def as_bits(block):
+    return np.ascontiguousarray(block).view(np.int64)
+
+
 class TestPowerBasis:
     def test_tiny(self):
-        np.testing.assert_array_equal(power_basis([2.0], 3).values, [[1, 2, 4]])
+        labels, block = power([2.0], 3)
+        assert labels == ("v", "v^2")
+        np.testing.assert_array_equal(block, [[2, 4]])
 
     def test_constant_only(self):
-        np.testing.assert_array_equal(power_basis([0.0, 1.0], 1).values,
-                                      [[1.0], [1.0]])
+        # a = 1 counts only the constant, which W supplies: an empty block
+        labels, block = power([0.0, 1.0, 2.0], 1)
+        assert labels == () and block.shape == (3, 0)
 
     def test_against_repeated_multiplication(self):
         rng = np.random.default_rng(42)
         v = rng.uniform(-2.0, 2.0, 100)
-        b = power_basis(v, 5).values
-        acc = np.ones_like(v)
-        for j in range(5):
+        _, b = power(v, 5)
+        acc = v.copy()
+        for j in range(4):
             np.testing.assert_allclose(b[:, j], acc, rtol=1e-15)
             acc = acc * v
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            power_basis([1.0, np.nan], 3)
+            power([1.0, np.nan], 3)
         with pytest.raises(ValueError):
-            power_basis([1.0], 0)
+            power([1.0], 0)
 
     def test_labels(self):
-        assert power_basis([1.0, 2.0], 4, name="x2").column_labels == (
-            "const", "x2", "x2^2", "x2^3")
+        assert power([1.0, 2.0], 4, name="x2")[0] == ("x2", "x2^2", "x2^3")
+
+
+class TestIndependentOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), family=st.sampled_from(["power", "spline"]),
+           s=st.integers(1, 4), extra=st.integers(0, 5), n=st.integers(20, 120))
+    def test_bitwise_equal_to_vandermonde_slice_and_where_form(self, seed, family, s,
+                                                               extra, n):
+        # a power basis of size a is np.vander(v, a)[:, 1:]; a spline adds one
+        # np.where(v > t, (v - t) ** s, 0.0) column per quantile knot
+        v = np.random.default_rng(seed).uniform(-2.0, 2.0, n)
+        a = s + 1 + extra
+        labels, got = build_basis(v, BasisSpec(family, a, s), name="x")
+        if family == "power":
+            want = np.vander(v, a, increasing=True)[:, 1:]
+        else:
+            knots = quantile_knots(v, extra)
+            want = np.column_stack([np.vander(v, s + 1, increasing=True)[:, 1:]]
+                                   + [np.where(v > t, (v - t) ** s, 0.0) for t in knots])
+        assert got.shape == (n, a - 1) and len(labels) == a - 1
+        assert np.array_equal(as_bits(got), as_bits(want))
 
 
 class TestQuantileKnots:
@@ -82,21 +112,23 @@ class TestQuantileKnots:
 class TestSplineBasis:
     def test_no_knots_equals_power(self):
         v = np.array([-2.0, -1.0, 0.0, 1.0, 3.0])
-        np.testing.assert_array_equal(spline_basis(v, 4, 3, []).values,
-                                      power_basis(v, 4).values)
+        labels, block = spline_basis(v, 4, 3, [])
+        assert labels == power(v, 4)[0]
+        assert np.array_equal(as_bits(block), as_bits(power(v, 4)[1]))
 
     def test_truncated_term_by_hand(self):
-        b = spline_basis([0.0, 2.0], a=5, s=3, knots=[1.0])
-        np.testing.assert_allclose(b.values[0], [1, 0, 0, 0, 0])
-        np.testing.assert_allclose(b.values[1], [1, 2, 4, 8, 1])
+        labels, b = spline_basis([0.0, 2.0], a=5, s=3, knots=[1.0])
+        assert labels == ("v", "v^2", "v^3", "v_tp1.0")
+        np.testing.assert_allclose(b[0], [0, 0, 0, 0])
+        np.testing.assert_allclose(b[1], [2, 4, 8, 1])
 
     def test_pointwise_oracle(self):
         rng = np.random.default_rng(11)
         v = rng.uniform(-2.0, 2.0, 200)
         knots = quantile_knots(v, 2)
-        b = spline_basis(v, 6, 3, knots).values
+        _, b = spline_basis(v, 6, 3, knots)
         for i, x in enumerate(v):
-            row = [1.0, x, x ** 2, x ** 3]
+            row = [x, x ** 2, x ** 3]
             for t in knots:
                 row.append((x - t) ** 3 if x > t else 0.0)
             np.testing.assert_allclose(b[i], row, rtol=1e-14)
@@ -115,7 +147,7 @@ class TestSplineBasis:
         v[: n // 3] = rng.choice(v, n // 3)
         knots = (np.sort(rng.choice(v, n_knots)) if at_points
                  else quantile_knots(v, n_knots))
-        got = spline_basis(v, s + 1 + n_knots, s, knots).values[:, s + 1:]
+        got = spline_basis(v, s + 1 + n_knots, s, knots)[1][:, s:]
         want = np.column_stack([np.where(v > t, (v - t) ** s, 0.0) for t in knots])
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -123,7 +155,7 @@ class TestSplineBasis:
     @pytest.mark.parametrize("t", [0.0, -0.0])
     def test_knot_column_at_signed_zero(self, s, t):
         v = np.array([-0.0, 0.0, -1.0, 1.0])
-        got = spline_basis(v, s + 2, s, [t]).values[:, -1]
+        got = spline_basis(v, s + 2, s, [t])[1][:, -1]
         want = np.where(v > t, (v - t) ** s, 0.0)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert np.array_equal(got, [0.0, 0.0, 0.0, 1.0])
@@ -135,6 +167,34 @@ class TestSplineBasis:
     def test_decreasing_knots_rejected(self):
         with pytest.raises(ValueError):
             spline_basis(np.linspace(0, 1, 9), a=6, s=3, knots=[0.7, 0.3])
+
+    def test_non_finite_input_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            spline_basis([1.0, np.inf, 2.0], a=4, s=3)
+
+    def test_order_zero_only_without_knots(self):
+        assert spline_basis([1.0, 2.0], a=1, s=0)[1].shape == (2, 0)
+        with pytest.raises(ValueError, match="spline order"):
+            spline_basis([1.0, 2.0, 3.0], a=2, s=0, knots=[2.0])
+
+    def test_knot_labels_are_plain_floats(self):
+        # numpy 2 prints a float64 scalar as np.float64(1.0); a label must not
+        labels, _ = build_basis(np.arange(7.0), BasisSpec("spline", 9), name="x")
+        assert labels == ("x", "x^2", "x^3", "x_tp1.0", "x_tp2.0", "x_tp3.0",
+                          "x_tp4.0", "x_tp5.0")
+
+    def test_coinciding_knots_name_the_variable(self):
+        # x in {0, 1, 2}: the 5 quantile knots are 0, 1/3, 1, 1, 2
+        x = np.tile([0.0, 1.0, 2.0], 67)[:200]
+        with pytest.raises(DesignError, match=r"^variable 'x' has 3 distinct values, "
+                           r"too few for 5 distinct spline knots below its maximum$"):
+            build_basis(x, BasisSpec("spline", 9), name="x")
+
+    def test_knot_at_the_maximum_names_the_variable(self):
+        # one knot, the median, at the sample maximum: its column is all zeros
+        x = np.concatenate([np.arange(50.0), np.full(60, 100.0)])
+        with pytest.raises(DesignError, match="variable 'age' has 51 distinct values"):
+            build_basis(x, BasisSpec("spline", 5), name="age")
 
 
 class TestBasisSpec:
@@ -167,43 +227,28 @@ class TestTensorInteractions:
     def test_single_product(self):
         x = np.array([1.0, 2.0, 3.0])
         y = np.array([4.0, 5.0, 6.0])
-        b1 = power_basis(x, 2, name="x")
-        b2 = power_basis(y, 2, name="y")
-        out = tensor_interactions(b1, b2)
+        out = tensor_interactions(power(x, 2)[1], power(y, 2)[1])
         np.testing.assert_allclose(out, (x * y)[:, None])
 
     def test_restricted_count_for_table_row(self):
         # two 5-term bases give the 16 interaction columns implied by the
         # k_n = 2 a - 1 + (a_bar - 1)^2 progression at a = 6
         rng = np.random.default_rng(0)
-        b1 = power_basis(rng.random(30), 5)
-        b2 = power_basis(rng.random(30), 5)
-        assert tensor_interactions(b1, b2).shape == (30, 16)
+        out = tensor_interactions(power(rng.random(30), 5)[1], power(rng.random(30), 5)[1])
+        assert out.shape == (30, 16)
 
     def test_nested_loop_oracle(self):
         rng = np.random.default_rng(5)
-        b1 = power_basis(rng.random(20), 3, name="u")
-        b2 = power_basis(rng.random(20), 4, name="w")
+        b1 = rng.random((20, 2))
+        b2 = rng.random((20, 3))
         out = tensor_interactions(b1, b2)
         assert out.shape == (20, 6)
         k = 0
-        for i in range(1, 3):
-            for j in range(1, 4):
-                np.testing.assert_allclose(out[:, k],
-                                           b1.values[:, i] * b2.values[:, j])
+        for i in range(2):
+            for j in range(3):
+                np.testing.assert_array_equal(out[:, k], b1[:, i] * b2[:, j])
                 k += 1
 
     def test_row_mismatch(self):
         with pytest.raises(DesignError):
-            tensor_interactions(power_basis([1.0, 2.0], 2),
-                                power_basis([1.0, 2.0, 3.0], 2))
-
-
-class TestBasisMatrix:
-    def test_requires_constant_first(self):
-        with pytest.raises(ValueError):
-            BasisMatrix(np.array([[2.0, 1.0]]), ("a", "b"))
-
-    def test_requires_finite(self):
-        with pytest.raises(ValueError):
-            BasisMatrix(np.array([[1.0, np.inf]]), ("a", "b"))
+            tensor_interactions(np.ones((2, 1)), np.ones((3, 1)))

@@ -32,6 +32,12 @@ def write_sim_csv(path, n=300, hypothesis="null", seed=3):
     return path
 
 
+def write_columns(path, **cols):
+    path.write_text(",".join(cols) + "\n" + "\n".join(
+        ",".join(repr(float(v)) for v in row) for row in zip(*cols.values())) + "\n")
+    return path
+
+
 def write_gasoline_csv(path, n=250, seed=7):
     """Columns of configs/gasoline_age.json: m_n = 21 null and r_n = 89 alternative terms."""
     rng = np.random.default_rng(seed)
@@ -440,6 +446,20 @@ class TestCmdTest:
         cpath.write_text(json.dumps(cfg))
         assert main(["test", "--data", str(p), "--config", str(cpath)]) == 3
 
+    def test_tied_spline_knots_are_input_error(self, tmp_path, capsys):
+        # x2 takes 3 values: the 5 knots of a size-9 spline coincide
+        rng = np.random.default_rng(9)
+        data = write_columns(tmp_path / "d.csv", y=rng.normal(size=200),
+                             x1=rng.normal(size=200),
+                             x2=rng.integers(0, 3, 200).astype(float))
+        model = model_edit(lambda m: m["series_vars"][0].update(family="spline", a=9))
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"y": "y", "model": model}))
+        assert main(["test", "--data", str(data), "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "input error: variable 'x2' has 3 distinct values, too few for 5 distinct "
+            "spline knots below its maximum\n")
+
     def test_gasoline_recipe_counts(self, tmp_path):
         p = write_gasoline_csv(tmp_path / "gas.csv")
         out = tmp_path / "res.json"
@@ -471,9 +491,7 @@ class TestCmdTest:
         for name in ModelSpec.from_dict(cli._load_config(config)["model"]).variables:
             lo, hi = cols[name].min(), cols[name].max()
             cols[name] = 2.0 * (cols[name] - lo) / (hi - lo) - 1.0
-        scaled = tmp_path / "scaled.csv"
-        scaled.write_text(",".join(cols) + "\n" + "\n".join(
-            ",".join(repr(float(v)) for v in row) for row in zip(*cols.values())) + "\n")
+        scaled = write_columns(tmp_path / "scaled.csv", **cols)
         flags = ["--config", str(config), "--bootstrap", "19", "--seed", "3"]
         results = []
         for data, extra in [(raw, ["--rescale"]), (scaled, [])]:
@@ -609,6 +627,34 @@ class TestCmdTune:
                      "--x2", "x2", "--c", c]) == 2
         err = capsys.readouterr().err
         assert err == f"input error: penalty constant c must be finite and >= 1, not {c}\n"
+
+    @pytest.mark.parametrize("x2_kind", ["collinear with x1", "3-valued"])
+    @pytest.mark.parametrize("family", ["power", "spline"])
+    def test_rank_deficient_design_names_its_columns(self, tmp_path, capsys, x2_kind,
+                                                     family):
+        # W's offending columns are named by label, not by index
+        rng = np.random.default_rng(4)
+        y, x1 = rng.normal(size=200), rng.normal(size=200)
+        x2 = (rng.integers(0, 3, 200).astype(float) if x2_kind == "3-valued"
+              else (x1 - 1.0) / 3.0)
+        data = write_columns(tmp_path / "d.csv", y=y, x1=x1, x2=x2)
+        assert main(["tune", "--data", str(data), "--y", "y", "--x1", "x1",
+                     "--x2", "x2", "--family", family]) == 3
+        err = capsys.readouterr().err
+        head = "numerical failure: design is rank deficient; offending columns: "
+        assert err.startswith(head) and err.endswith("\n")
+        assert set(err[len(head):-1].split(", ")) <= {"const", "x1", "x2", "x2^2", "x2^3"}
+
+    def test_tied_spline_knots_are_input_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(9)
+        data = write_columns(tmp_path / "d.csv", y=rng.normal(size=200),
+                             x1=rng.normal(size=200),
+                             x2=rng.integers(0, 3, 200).astype(float))
+        assert main(["tune", "--data", str(data), "--y", "y", "--x1", "x1", "--x2", "x2",
+                     "--family", "spline", "--a-min", "9", "--a-max", "9"]) == 2
+        assert capsys.readouterr().err == (
+            "input error: variable 'x2' has 3 distinct values, too few for 5 distinct "
+            "spline knots below its maximum\n")
 
     def test_tuned_test_missing_column_is_input_error(self, tmp_path, capsys):
         # an input error naming the column, not an uncaught KeyError

@@ -215,6 +215,21 @@ class TestBuildPartiallyLinear:
         with pytest.raises(DesignError):
             build_partially_linear(data, spec)
 
+    @pytest.mark.parametrize("placement", ["null", "alternative"])
+    def test_coinciding_knots_name_the_variable(self, placement):
+        # x takes 3 values, so the 5 knots of a size-9 cubic spline coincide
+        # and the last one is the maximum: repeated and all-zero knot columns
+        rng = np.random.default_rng(8)
+        data = {"x": rng.integers(0, 3, 200).astype(float), "u": rng.normal(size=200)}
+        bspec = BasisSpec("spline", 9)
+        series = (("x", bspec),) if placement == "null" else ()
+        spec = ModelSpec(linear_vars=("u",), series_vars=series,
+                         alternative=AlternativeSpec("additive_only", (("x", bspec),)))
+        with pytest.raises(DesignError, match=re.escape(
+                "variable 'x' has 3 distinct values, too few for 5 distinct spline "
+                "knots below its maximum")):
+            build_partially_linear(data, spec)
+
     def test_duplicate_variable_rejected(self):
         with pytest.raises(ValueError):
             ModelSpec(linear_vars=("x", "x"), series_vars=(),
@@ -285,8 +300,8 @@ def per_column_design(data, spec):
     def own(var, bspec, shrink=False):
         if shrink:
             bspec = replace(bspec, a=restricted_interaction_order(bspec.a))
-        b = build_basis(col(var), bspec, name=var)
-        return list(zip(b.column_labels[1:], b.values[:, 1:].T))
+        labels, block = build_basis(col(var), bspec, name=var)
+        return list(zip(labels, block.T))
 
     n = col(spec.variables[0]).shape[0]
     w = {"const": np.ones(n)}
