@@ -36,14 +36,13 @@ from .lmtest import (
     TestResult,
     VarianceWeights,
     lm_statistic,
-    lm_statistic_nr2,
     run_test,
     standardize,
     variant_statistic,
 )
 from .mc import DgpSpec, McConfig, McReport, emit_report, gen_sample, run_mc
 from .regress import FitResult, annihilate, ols_fit, residualize_block
-from .tuning import TuningGrid, data_driven_test, gcv, mallows_cp, select_r
+from .tuning import TuningGrid, data_driven_test, select_r
 
 __version__ = "0.1.0"
 
@@ -72,11 +71,8 @@ __all__ = [
     "data_driven_test",
     "draw_multipliers",
     "emit_report",
-    "gcv",
     "gen_sample",
     "lm_statistic",
-    "lm_statistic_nr2",
-    "mallows_cp",
     "normal_cdf",
     "normal_quantile",
     "ols_fit",

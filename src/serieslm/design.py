@@ -2,17 +2,22 @@
 
 The null model is linear in parameters: a single shared constant, the plain
 linear regressors, and the series expansions of the nonparametric components.
-Every basis is a constant-free ``(labels, block)`` pair, so W's one constant
-column is the only one.  The alternative block Z collects the extra series
-terms that can only enter when the null is false: higher own powers, tensor
-interactions, or a custom term list.  Both are stacked from whole blocks
-whose canonical labels alone decide the Z columns kept, so nothing already in
+Every basis is constant-free, so W's one constant column is the only one.  The
+alternative block Z collects the extra series terms that can only enter when
+the null is false: higher own powers, tensor interactions, or a custom term
+list.  Canonical labels alone decide the Z columns kept, so nothing already in
 W is duplicated in Z, and ``screen_collinear`` removes Z columns that are
 numerically inside the span of what came before them.
+
+Every design is a gather from a ``ColumnTable``: the columns that a set of
+specs needs on one sample, each computed once into one array.  A lone build
+is a table of one spec; the data-driven test plans one table for all its
+grid candidates.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field, replace
@@ -20,21 +25,17 @@ from itertools import combinations
 
 import numpy as np
 
-from .basis import (
-    BasisSpec,
-    _power_label,
-    build_basis,
-    restricted_interaction_order,
-    tensor_interactions,
-)
-from .errors import DesignError
+from .basis import BasisSpec, SeriesColumns, _power_label, restricted_interaction_order
+from .errors import DesignError, SeriesLMError
 from .regress import ols_fit
 
 __all__ = [
     "AlternativeSpec",
     "ModelSpec",
     "DesignPair",
+    "ColumnTable",
     "build_partially_linear",
+    "simulation_spec",
     "simulation_design",
     "screen_collinear",
 ]
@@ -249,93 +250,202 @@ def _term_label(factors) -> str:
     return "*".join(_power_label(v, p) for v, p in factors)
 
 
-def build_partially_linear(data, spec: ModelSpec, bases=None) -> DesignPair:
+# The two caches below hold frozen values, one per basis size or grid size in
+# use, so they stay small; every sample of a run asks for the same ones.
+@functools.lru_cache(maxsize=None)
+def _restricted(bspec: BasisSpec) -> BasisSpec:
+    return replace(bspec, a=restricted_interaction_order(bspec.a))
+
+
+class ColumnTable:
+    """Every column that a set of model specs needs on one sample, each computed once.
+
+    ``data`` maps variable names to equal-length numeric vectors.  On the
+    first ``design`` call the table plans each spec in turn, in the order and
+    with the checks of a lone ``build_partially_linear``.  Each distinct
+    column gets one id: the constant, a column of one variable's
+    ``SeriesColumns`` (a linear regressor is its first power), a custom term,
+    or a product of two series columns.  The table then computes each id
+    once into one C-ordered n x K ``array``, and ``design`` gathers a spec's
+    W and Z from it with one ``take`` apiece, so they come out C-ordered.  A
+    spec whose plan fails keeps its error, which ``design`` raises for that
+    spec alone, so designs asked for in turn fail where lone builds would.
+    """
+
+    def __init__(self, data, specs):
+        self._data = data
+        self._specs = list(specs)
+        self._plans = None
+
+    def design(self, spec: ModelSpec) -> DesignPair:
+        if self._plans is None:
+            self._build()
+        plan = self._plans[self._specs.index(spec)]
+        if isinstance(plan, Exception):
+            raise plan
+        w_at, z_at, w_labels, z_labels = plan
+        return DesignPair(self.array.take(w_at, 1), self.array.take(z_at, 1),
+                          w_labels, z_labels)
+
+    def _build(self):
+        self._n, self._vectors, self._series, self._sources = None, {}, {}, {}
+        # column ids: 0 is the constant; then (variable, key) of a series
+        # column, the factors of a custom term, or the ids of a product's factors
+        self._series_ids, self._term_ids, self._product_ids = {}, {}, {}
+        self._count = 1
+        self._wanted = {}  # variable -> every BasisSpec a spec may ask of it
+        for spec in self._specs:
+            alt = spec.alternative
+            for var, bspec in (*spec.series_vars, *alt.basis,
+                               *((v, _restricted(b)) for v, b in alt.basis)):
+                self._wanted.setdefault(var, []).append(bspec)
+        plans = []
+        for spec in self._specs:
+            try:
+                plans.append(self._plan(spec))
+            except (SeriesLMError, ValueError) as exc:
+                plans.append(exc)
+        at = self._fill()
+        self._plans = [plan if isinstance(plan, Exception)
+                       else (at[plan[0]], at[plan[1]], *plan[2:]) for plan in plans]
+
+    def _id(self, ids: dict, key) -> int:
+        """The column id of ``key`` in ``ids``, a new one the first time."""
+        if key not in ids:
+            ids[key] = self._count
+            self._count += 1
+        return ids[key]
+
+    def _vector(self, var: str) -> np.ndarray:
+        if var not in self._vectors:
+            try:
+                arr = np.asarray(self._data[var], dtype=float).ravel()
+            except KeyError:
+                raise DesignError(f"variable {var!r} not found in data") from None
+            if not np.all(np.isfinite(arr)):
+                raise DesignError(f"variable {var!r} contains non-finite values")
+            if self._n is None:
+                self._n = arr.shape[0]
+            elif arr.shape[0] != self._n:
+                raise DesignError(f"variable {var!r} has inconsistent length")
+            self._vectors[var] = arr
+        return self._vectors[var]
+
+    def _basis(self, var: str, bspec=None) -> tuple:
+        """(labels, ids) of a series basis of ``var``, or of ``var`` itself without one."""
+        if (var, bspec) not in self._sources:
+            if var not in self._series:
+                self._series[var] = SeriesColumns(self._vector(var),
+                                                  self._wanted.get(var, ()), var)
+            labels, keys = ([var], [1]) if bspec is None else self._series[var].terms(bspec)
+            self._sources[var, bspec] = labels, [self._id(self._series_ids, (var, key))
+                                                 for key in keys]
+        return self._sources[var, bspec]
+
+    def _products(self, basis1, basis2) -> tuple:
+        """(labels, ids) of the products of two bases' columns."""
+        if (basis1, basis2) not in self._sources:
+            (labels1, ids1), (labels2, ids2) = self._basis(*basis1), self._basis(*basis2)
+            self._sources[basis1, basis2] = (
+                ["*".join(sorted((l1, l2))) for l1 in labels1 for l2 in labels2],
+                [self._id(self._product_ids, (i1, i2)) for i1 in ids1 for i2 in ids2])
+        return self._sources[basis1, basis2]
+
+    def _plan(self, spec: ModelSpec) -> tuple:
+        """(W ids, Z ids, W labels, Z labels) of one spec, with its checks."""
+        self._vector(spec.variables[0])
+        null = [(["const"], [0]), *(self._basis(var) for var in spec.linear_vars),
+                *(self._basis(var, bspec) for var, bspec in spec.series_vars)]
+        w_labels = [label for labels, _ in null for label in labels]
+        seen = set(w_labels)
+        if len(seen) < len(w_labels):
+            label = next(label for i, label in enumerate(w_labels) if label in w_labels[:i])
+            raise DesignError(f"duplicate column {label!r} in null design")
+
+        alt = spec.alternative
+        if alt.recipe == "custom":
+            terms = [parse_term(term) for term in alt.custom_terms]
+            for term in terms:
+                for var, _ in term:
+                    self._vector(var)
+            extra = [([_term_label(t) for t in terms],
+                      [self._id(self._term_ids, t) for t in terms])]
+        else:
+            extra = [self._basis(var, bspec) for var, bspec in alt.basis]
+        shrink = alt.recipe == "restricted_tensor"
+        inter = [(v, _restricted(s) if shrink else s)
+                 for v, s in alt.basis] if alt.recipe.endswith("_tensor") else []
+        for basis in inter:  # each is checked, as in a lone build, partner or not
+            self._basis(*basis)
+        extra += [self._products(*pair) for pair in combinations(inter, 2)]
+
+        # a Z label already in W or earlier in Z is dropped, with its column
+        z_labels, z_ids = [], []
+        for labels, ids in extra:
+            for label, i in zip(labels, ids):
+                if label not in seen:
+                    seen.add(label)
+                    z_labels.append(label)
+                    z_ids.append(i)
+        k_n = len(w_labels) + len(z_labels)
+        if self._n <= k_n:
+            raise DesignError(f"need n > k_n (got n={self._n}, k_n={k_n})")
+        return ([i for _, ids in null for i in ids], z_ids, tuple(w_labels),
+                tuple(z_labels))
+
+    def _fill(self) -> np.ndarray:
+        """Compute every column id into ``self.array``; returns id -> table column.
+
+        Values are computed a row per column, in blocks, and written into the
+        table transposed; the products are one block.
+        """
+        series = {}
+        for (var, key), i in self._series_ids.items():
+            series.setdefault(var, {})[key] = i
+        table = self.array = np.empty((self._n or 0, self._count))
+        at = np.empty(self._count, dtype=np.intp)  # id -> table column
+        rows = {}  # series id -> its row of values
+        table[:, 0], at[0] = 1.0, 0
+        j = 1
+        for var, ids in series.items():
+            order, values = self._series[var].evaluate(ids)
+            order = [ids[key] for key in order]
+            rows.update(zip(order, values))
+            table[:, j:j + len(order)] = values.T
+            at[order] = range(j, j + len(order))
+            j += len(order)
+        for term, i in self._term_ids.items():
+            table[:, j] = math.prod(self._vectors[v] ** p for v, p in term)
+            at[i], j = j, j + 1
+        if self._product_ids:
+            factors = list(self._product_ids)
+            table[:, j:] = (np.array([rows[i1] for i1, _ in factors])
+                            * np.array([rows[i2] for _, i2 in factors])).T
+            at[list(self._product_ids.values())] = range(j, self._count)
+        return at
+
+
+def build_partially_linear(data, spec: ModelSpec, table=None) -> DesignPair:
     """Build (W, Z) for a partially linear null against the chosen alternative.
 
-    ``data`` maps variable names to equal-length numeric vectors.  W stacks
-    the blocks of a single constant, the linear regressors and each
-    constant-free series expansion (a repeated label is an error); Z stacks
-    the alternative blocks less each column whose label is already in W or
-    earlier in Z.  ``bases``, a dict keyed by (variable, BasisSpec), holds
-    the bases already built on this same ``data`` and gains the ones built
-    here, so the designs of one sample can share it.
+    ``data`` maps variable names to equal-length numeric vectors.  W holds a
+    single constant, the linear regressors and each constant-free series
+    expansion (a repeated label is an error); Z holds the alternative
+    columns less each one whose label is already in W or earlier in Z.  Both
+    are gathered from a ``ColumnTable``: ``table``, one planned on this same
+    ``data`` for a set of specs that includes ``spec``, or else a table of
+    ``spec`` alone.
     """
-    n = None
-
-    def column(var: str) -> np.ndarray:
-        try:
-            arr = np.asarray(data[var], dtype=float).ravel()
-        except KeyError:
-            raise DesignError(f"variable {var!r} not found in data") from None
-        if not np.all(np.isfinite(arr)):
-            raise DesignError(f"variable {var!r} contains non-finite values")
-        if n is not None and arr.shape[0] != n:
-            raise DesignError(f"variable {var!r} has inconsistent length")
-        return arr
-
-    n = column(spec.variables[0]).shape[0]
-    bases = {} if bases is None else bases
-
-    def basis(var: str, bspec: BasisSpec) -> tuple:
-        if (var, bspec) not in bases:
-            bases[var, bspec] = build_basis(column(var), bspec, name=var)
-        return bases[var, bspec]
-
-    null = [(("const",), np.ones((n, 1))),
-            *(((var,), column(var)[:, None]) for var in spec.linear_vars),
-            *(basis(var, bspec) for var, bspec in spec.series_vars)]
-    w_labels = [label for labels, _ in null for label in labels]
-    seen = set(w_labels)
-    if len(seen) < len(w_labels):
-        label = next(label for i, label in enumerate(w_labels) if label in w_labels[:i])
-        raise DesignError(f"duplicate column {label!r} in null design")
-
-    alt = spec.alternative
-    if alt.recipe == "custom":
-        terms = [parse_term(term) for term in alt.custom_terms]
-        extra = [([_term_label(t) for t in terms], np.column_stack(
-            [math.prod(column(v) ** p for v, p in t) for t in terms]))]
-    else:
-        extra = [basis(var, bspec) for var, bspec in alt.basis]
-    shrink = alt.recipe == "restricted_tensor"
-    inter = [basis(v, replace(s, a=restricted_interaction_order(s.a)) if shrink else s)
-             for v, s in alt.basis] if alt.recipe.endswith("_tensor") else []
-    for (labels1, b1), (labels2, b2) in combinations(inter, 2):
-        labels = ["*".join(sorted((l1, l2))) for l1 in labels1 for l2 in labels2]
-        extra.append((labels, tensor_interactions(b1, b2)))
-
-    # a Z label already in W or earlier in Z is dropped, with its column; take()
-    # leaves a sliced block C-ordered, like the others, so products see one layout
-    z_labels, z_blocks = [], [np.empty((n, 0))]
-    for labels, block in extra:
-        keep = []
-        for j, label in enumerate(labels):
-            if label not in seen:
-                seen.add(label)
-                keep.append(j)
-        z_labels += [labels[j] for j in keep]
-        z_blocks.append(block if len(keep) == len(labels) else block.take(keep, 1))
-
-    k_n = len(w_labels) + len(z_labels)
-    if n <= k_n:
-        raise DesignError(f"need n > k_n (got n={n}, k_n={k_n})")
-    return DesignPair(np.hstack([block for _, block in null]), np.hstack(z_blocks),
-                      w_labels, z_labels)
+    return (ColumnTable(data, (spec,)) if table is None else table).design(spec)
 
 
-def simulation_design(x1, x2, a_n: int, family: str = "power",
-                      bases=None) -> DesignPair:
-    """The two-regressor partially linear design used in the simulation study.
-
-    Null: [1, x1, a_n-term series in x2].  Alternative adds the higher own
-    terms of x1 and all pairwise interactions of the constant-free restricted
-    bases, so k_n = 2 a_n - 1 + (a_bar - 1)^2.  ``bases`` is that of
-    ``build_partially_linear``; one table serves every a_n of a sample (x1, x2).
-    """
+@functools.lru_cache(maxsize=None)
+def simulation_spec(a_n: int, family: str = "power") -> ModelSpec:
+    """The spec of ``simulation_design`` over the variables x1 and x2."""
     if a_n < SIMULATION_A_MIN:
         raise ValueError(f"simulation design needs a_n >= {SIMULATION_A_MIN}")
     bspec = BasisSpec(family, a_n)
-    spec = ModelSpec(
+    return ModelSpec(
         linear_vars=("x1",),
         series_vars=(("x2", bspec),),
         alternative=AlternativeSpec(
@@ -343,7 +453,19 @@ def simulation_design(x1, x2, a_n: int, family: str = "power",
             basis=(("x1", bspec), ("x2", bspec)),
         ),
     )
-    return build_partially_linear({"x1": x1, "x2": x2}, spec, bases)
+
+
+def simulation_design(x1, x2, a_n: int, family: str = "power",
+                      table=None) -> DesignPair:
+    """The two-regressor partially linear design used in the simulation study.
+
+    Null: [1, x1, a_n-term series in x2].  Alternative adds the higher own
+    terms of x1 and all pairwise interactions of the constant-free restricted
+    bases, so k_n = 2 a_n - 1 + (a_bar - 1)^2.  ``table`` is that of
+    ``build_partially_linear``: a ``ColumnTable`` of (x1, x2) planned for the
+    ``simulation_spec`` of every a_n wanted serves each of them.
+    """
+    return build_partially_linear({"x1": x1, "x2": x2}, simulation_spec(a_n, family), table)
 
 
 def screen_collinear(pair: DesignPair, tol: float = 1e-10):

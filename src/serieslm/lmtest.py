@@ -40,7 +40,6 @@ __all__ = [
     "TestResult",
     "VARIANTS",
     "lm_statistic",
-    "lm_statistic_nr2",
     "variant_statistic",
     "standardize",
     "chisq_rule",
@@ -142,21 +141,6 @@ def lm_statistic(residuals, z_resid, weights: VarianceWeights) -> float:
     if zt.shape[0] <= zt.shape[1]:
         raise ValueError("need n > r")
     return _short_form(r, zt, weights.values)
-
-
-def lm_statistic_nr2(residuals, z_resid) -> float:
-    """Same statistic computed as n R^2 of 1 on the score columns Zt_i * r_i.
-
-    Independent computational route (least squares instead of an explicit
-    quadratic form); agrees with ``lm_statistic`` under residual weights.
-    """
-    r = np.asarray(residuals, dtype=float).ravel()
-    zt = np.asarray(z_resid, dtype=float)
-    scores = zt * r[:, None]
-    ones = np.ones(r.shape[0])
-    coef, *_ = np.linalg.lstsq(scores, ones, rcond=None)
-    fitted = scores @ coef
-    return float(ones @ fitted)
 
 
 def variant_statistic(variant: str, residuals, w, z, weights: VarianceWeights,

@@ -19,15 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design import SIMULATION_A_MIN, simulation_design
+from .design import SIMULATION_A_MIN, ColumnTable, simulation_design, simulation_spec
 from .lmtest import VarianceWeights, chisq_rule, lm_statistic
 from .regress import ols_fit, residualize_block
 
 __all__ = [
     "TuningGrid",
     "DataDrivenResult",
-    "mallows_cp",
-    "gcv",
     "select_r",
     "data_driven_test",
 ]
@@ -80,16 +78,6 @@ def _select_size(fits, criterion: str) -> int:
     return min(range(len(fits)), key=lambda i: (scores[i], sizes[i]))
 
 
-def mallows_cp(y, designs) -> int:
-    """Index of the design whose fit of y has the smallest Mallows Cp."""
-    return _select_size([ols_fit(w, y) for w in designs], "cp")
-
-
-def gcv(y, designs) -> int:
-    """Index of the design whose fit of y has the smallest GCV score."""
-    return _select_size([ols_fit(w, y) for w in designs], "gcv")
-
-
 def select_r(stat_by_r, r_min: int, c: float = PENALTY_C) -> int:
     """Restriction count maximizing the penalized statistic; ties to smallest r."""
     if not stat_by_r:
@@ -125,9 +113,9 @@ class DataDrivenResult:
     candidate_table: tuple = field(default=())
 
 
-def _null_fit(y, x1, x2, a: int, family: str, bases: dict) -> tuple:
+def _null_fit(y, x1, x2, a: int, family: str, table: ColumnTable) -> tuple:
     """(a, null fit, Z) of one grid candidate; its W dies on return."""
-    pair = simulation_design(x1, x2, a, family, bases)
+    pair = simulation_design(x1, x2, a, family, table)
     return a, ols_fit(pair.w, y, column_labels=pair.w_labels), pair.z
 
 
@@ -142,19 +130,21 @@ def data_driven_decisions(y, x1, x2, grid: TuningGrid, family: str = "power",
                           levels=(0.05,), criteria=CRITERIA) -> dict:
     """Data-driven tests for several selection criteria on one sample.
 
-    Every candidate's design draws on one basis table, so each (variable,
-    size) basis is built once, and each design is built once.  The null fits
-    of all candidates come first, and each criterion picks its null size from
-    them.  The statistic is then computed only from the smaller pick upward:
-    no decision reads a candidate below both picks, so a statistic there is
-    never computed and cannot fail.  Returns {criterion: DataDrivenResult}.
+    Every candidate's design is gathered from one column table of the
+    sample, so each distinct column is computed once, and each design is
+    built once.  The null fits of all candidates come first, and each
+    criterion picks its null size from them.  The statistic is then computed
+    only from the smaller pick upward: no decision reads a candidate below
+    both picks, so a statistic there is never computed and cannot fail.
+    Returns {criterion: DataDrivenResult}.
     """
     for criterion in criteria:
         if criterion not in CRITERIA:
             raise ValueError(f"unknown criterion {criterion!r}; expected {CRITERIA}")
     y = np.asarray(y, dtype=float).ravel()
-    bases = {}  # (variable, BasisSpec) -> basis, shared by every candidate
-    null_fits = [_null_fit(y, x1, x2, a, family, bases) for a in grid.candidates]
+    table = ColumnTable({"x1": x1, "x2": x2},
+                        [simulation_spec(a, family) for a in grid.candidates])
+    null_fits = [_null_fit(y, x1, x2, a, family, table) for a in grid.candidates]
     picks = {criterion: _select_size([fit for _, fit, _ in null_fits], criterion)
              for criterion in criteria}
     first = min(picks.values(), default=len(null_fits))

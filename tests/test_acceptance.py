@@ -32,11 +32,12 @@ from serieslm.distributions import (
 from serieslm.lmtest import (
     VarianceWeights,
     lm_statistic,
-    lm_statistic_nr2,
     run_test,
 )
 from serieslm.mc import DgpSpec, McConfig, gen_sample, run_mc
 from serieslm.regress import ols_fit, residualize_block
+
+from oracles import lm_statistic_nr2
 
 pytestmark = pytest.mark.acceptance
 

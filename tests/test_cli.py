@@ -460,6 +460,29 @@ class TestCmdTest:
             "input error: variable 'x2' has 3 distinct values, too few for 5 distinct "
             "spline knots below its maximum\n")
 
+    @pytest.mark.parametrize("where", ["W", "Z"])
+    def test_spline_on_a_constant_variable_names_it(self, tmp_path, capsys, where):
+        # no knot lies below the maximum of a constant x2, in W's series or
+        # only in Z's alternative bases
+        rng = np.random.default_rng(9)
+        data = write_columns(tmp_path / "d.csv", y=rng.normal(size=200),
+                             x1=rng.normal(size=200), x2=np.ones(200))
+
+        def edit(m):
+            spline = {"var": "x2", "family": "spline", "a": 5}
+            if where == "W":
+                m["series_vars"][0] = spline
+            else:
+                m["series_vars"] = []
+                m["alternative"]["basis"][1] = spline
+
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"y": "y", "model": model_edit(edit)}))
+        assert main(["test", "--data", str(data), "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "input error: variable 'x2' has 1 distinct values, too few for 1 distinct "
+            "spline knots below its maximum\n")
+
     def test_gasoline_recipe_counts(self, tmp_path):
         p = write_gasoline_csv(tmp_path / "gas.csv")
         out = tmp_path / "res.json"
@@ -654,6 +677,17 @@ class TestCmdTune:
                      "--family", "spline", "--a-min", "9", "--a-max", "9"]) == 2
         assert capsys.readouterr().err == (
             "input error: variable 'x2' has 3 distinct values, too few for 5 distinct "
+            "spline knots below its maximum\n")
+
+    def test_spline_on_a_constant_variable_names_it(self, tmp_path, capsys):
+        # x2's spline is in W (the series) and in Z (the tensor bases)
+        rng = np.random.default_rng(9)
+        data = write_columns(tmp_path / "d.csv", y=rng.normal(size=200),
+                             x1=rng.normal(size=200), x2=np.ones(200))
+        assert main(["tune", "--data", str(data), "--y", "y", "--x1", "x1", "--x2", "x2",
+                     "--family", "spline", "--a-min", "5", "--a-max", "5"]) == 2
+        assert capsys.readouterr().err == (
+            "input error: variable 'x2' has 1 distinct values, too few for 1 distinct "
             "spline knots below its maximum\n")
 
     def test_tuned_test_missing_column_is_input_error(self, tmp_path, capsys):

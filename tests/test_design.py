@@ -8,16 +8,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from serieslm import basis
 from serieslm.basis import BasisSpec, build_basis, restricted_interaction_order
 from serieslm.design import (
     RECIPES,
     AlternativeSpec,
+    ColumnTable,
     DesignPair,
     ModelSpec,
     build_partially_linear,
     parse_term,
     screen_collinear,
     simulation_design,
+    simulation_spec,
 )
 from serieslm.errors import DesignError, RankDeficiencyError
 from serieslm.mc import DgpSpec, gen_sample
@@ -98,30 +101,71 @@ class TestSimulationDesign:
         assert any(lab.startswith("x1_tp") for lab in pair.z_labels)
 
 
-class TestSharedBasisTable:
-    """One sample's designs built from one basis table equal fresh builds, bit for bit."""
+def same_design(got, want):
+    """W/Z bytes (as int64), shapes, C order and labels all equal."""
+    for a, b in ((got.w, want.w), (got.z, want.z)):
+        assert a.shape == b.shape and a.flags.c_contiguous and b.flags.c_contiguous
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+    assert (got.w_labels, got.z_labels) == (want.w_labels, want.z_labels)
 
-    @staticmethod
-    def bits(a):
-        return a.view(np.int64)
+
+class TestSharedBasisTable:
+    """One sample's designs gathered from one column table equal lone builds, bit for bit."""
 
     @pytest.mark.parametrize("family", ["power", "spline"])
     @pytest.mark.parametrize("hyp,seed", [("null", 0), ("null", 5), ("alternative", 1),
                                           ("alternative", 9)])
-    def test_every_candidate_equals_a_fresh_design(self, family, hyp, seed):
+    def test_every_candidate_equals_a_fresh_design(self, monkeypatch, family, hyp, seed):
         _, x1, x2 = gen_sample(DgpSpec(300, hyp, seed=seed))
-        for order in (range(4, 10), range(9, 3, -1)):
-            bases = {}
-            for a_n in order:
-                fresh = simulation_design(x1, x2, a_n, family)
-                shared = simulation_design(x1, x2, a_n, family, bases)
-                assert shared.w_labels == fresh.w_labels
-                assert shared.z_labels == fresh.z_labels
-                assert np.array_equal(self.bits(shared.w), self.bits(fresh.w))
-                assert np.array_equal(self.bits(shared.z), self.bits(fresh.z))
-            # sizes 4..9 of each variable; the interaction orders are among them
-            assert set(bases) == {(v, BasisSpec(family, a)) for v in ("x1", "x2")
-                                  for a in range(4, 10)}
+        real_powers, real_quantile = basis._power_rows, np.quantile
+        powers, quantiles = [], []
+
+        def counting_powers(v, out):
+            powers.append(("x1" if np.array_equal(v, x1) else "x2", len(out)))
+            return real_powers(v, out)
+
+        def counting_quantile(v, *args, **kwargs):
+            quantiles.append("x1" if np.array_equal(v, x1) else "x2")
+            return real_quantile(v, *args, **kwargs)
+
+        for grid in (range(4, 10), range(4, 13)):
+            fresh = {a: simulation_design(x1, x2, a, family) for a in grid}
+            for order in (grid, grid[::-1]):
+                monkeypatch.setattr(basis, "_power_rows", counting_powers)
+                monkeypatch.setattr(np, "quantile", counting_quantile)
+                powers.clear()
+                quantiles.clear()
+                table = ColumnTable({"x1": x1, "x2": x2},
+                                    [simulation_spec(a, family) for a in order])
+                for a in order:
+                    same_design(simulation_design(x1, x2, a, family, table), fresh[a])
+                monkeypatch.undo()
+                # one pass of powers per variable, up to the highest one asked
+                # for; one quantile call per spline variable; no column twice
+                top = grid[-1] - 1 if family == "power" else 3
+                assert sorted(powers) == [("x1", top), ("x2", top)]
+                assert sorted(quantiles) == ([] if family == "power" else ["x1", "x2"])
+                columns = table.array.T.view(np.int64)
+                assert len(np.unique(columns, axis=0)) == len(columns)
+
+    def test_each_spec_fails_alone_and_in_order(self):
+        # a >= 7 places tied knots on a 4-valued x2, with a message per size;
+        # a < 7 builds, and each error is raised for its own spec alone
+        rng = np.random.default_rng(3)
+        x1, x2 = rng.normal(size=200), rng.integers(0, 4, 200).astype(float)
+        specs = [simulation_spec(a, "spline") for a in range(4, 10)]
+        table = ColumnTable({"x1": x1, "x2": x2}, specs)
+        failed = []
+        for a, spec in zip(range(4, 10), specs):
+            try:
+                want = build_partially_linear({"x1": x1, "x2": x2}, spec)
+            except DesignError as exc:
+                failed.append(a)
+                with pytest.raises(DesignError, match=re.escape(str(exc))):
+                    table.design(spec)
+                continue
+            same_design(table.design(spec), want)
+        assert failed and len(failed) < len(specs)
 
 
 class TestBuildPartiallyLinear:
@@ -367,22 +411,29 @@ def models(draw):
 
 class TestLabelRule:
     @settings(max_examples=300, deadline=None)
-    @given(spec=models(), seed=st.integers(0, 2 ** 32 - 1), n=st.integers(30, 160))
-    def test_blocks_equal_the_per_column_assembly(self, spec, seed, n):
+    @given(specs=st.lists(models(), min_size=1, max_size=4),
+           seed=st.integers(0, 2 ** 32 - 1), n=st.integers(30, 160))
+    def test_blocks_equal_the_per_column_assembly(self, specs, seed, n):
+        # each spec alone against the oracle, then all of them from one table
         rng = np.random.default_rng(seed)
         data = {"x1": rng.normal(size=n), "x2": rng.uniform(-2.0, 2.0, n),
                 "x3": rng.integers(0, 5, n).astype(float)}
-        try:
-            want = per_column_design(data, spec)
-        except DesignError as exc:
-            with pytest.raises(DesignError, match=re.escape(str(exc))):
-                build_partially_linear(data, spec)
-            return
-        got = build_partially_linear(data, spec)
-        assert (got.w_labels, got.z_labels) == want[2:]
-        assert got.z.shape == want[1].shape
-        assert np.array_equal(got.w.view(np.int64), want[0].view(np.int64))
-        assert np.array_equal(got.z.view(np.int64), want[1].view(np.int64))
+        table = ColumnTable(data, specs)
+        for spec in specs:
+            try:
+                want = per_column_design(data, spec)
+            except DesignError as exc:
+                for build in (lambda: build_partially_linear(data, spec),
+                              lambda: table.design(spec)):
+                    with pytest.raises(DesignError, match=re.escape(str(exc))):
+                        build()
+                continue
+            got = build_partially_linear(data, spec)
+            assert (got.w_labels, got.z_labels) == want[2:]
+            assert got.z.shape == want[1].shape
+            assert np.array_equal(got.w.view(np.int64), want[0].view(np.int64))
+            assert np.array_equal(got.z.view(np.int64), want[1].view(np.int64))
+            same_design(table.design(spec), got)
 
 
 class TestParseTerm:

@@ -14,12 +14,13 @@ from serieslm.lmtest import (
     VARIANTS,
     VarianceWeights,
     lm_statistic,
-    lm_statistic_nr2,
     run_test,
     standardize,
     variant_statistic,
 )
 from serieslm.regress import ols_fit, residualize_block
+
+from oracles import lm_statistic_nr2
 
 
 def make_instance(seed, n, m, r, het=True):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from serieslm import cli, design, mc, tuning
+from serieslm import basis, cli, mc, tuning
 from serieslm.design import simulation_design
 from serieslm.distributions import chisq_quantile
 from serieslm.errors import RankDeficiencyError, SingularMomentMatrixError
@@ -20,10 +20,18 @@ from serieslm.tuning import (
     TuningGrid,
     data_driven_decisions,
     data_driven_test,
-    gcv,
-    mallows_cp,
     select_r,
 )
+
+
+def mallows_cp(y, designs) -> int:
+    """Index of the design whose fit of y has the smallest Mallows Cp."""
+    return tuning._select_size([ols_fit(w, y) for w in designs], "cp")
+
+
+def gcv(y, designs) -> int:
+    """Index of the design whose fit of y has the smallest GCV score."""
+    return tuning._select_size([ols_fit(w, y) for w in designs], "gcv")
 
 
 def power_designs(x, sizes):
@@ -287,27 +295,41 @@ class TestDataDrivenDecisions:
     ])
     def test_each_basis_and_design_built_once_per_sample(self, monkeypatch, hyp, seed,
                                                          family):
-        # the designs of grid 4..9 read 20 (variable, size) bases but only 12
-        # distinct ones, sizes 4..9 of x1 and x2 (the interaction orders 4, 5,
-        # 5, 5, 6, 7 are among them); each basis and each design is built once
+        # one table per sample: each variable's powers in one pass up to the
+        # highest one any candidate asks for, one quantile call per spline
+        # variable, and each candidate's design gathered once
         y, x1, x2 = gen_sample(DgpSpec(400, hyp, seed=seed))
-        real_basis, real_design = design.build_basis, tuning.simulation_design
-        built, designs = [], []
+        real_powers, real_quantile = basis._power_rows, np.quantile
+        real_design = tuning.simulation_design
+        powers, quantiles, designs = [], [], []
 
-        def counting_basis(v, spec, name="v"):
-            built.append((name, spec.a))
-            return real_basis(v, spec, name=name)
+        def which(v):
+            return "x1" if np.array_equal(v, x1) else "x2"
+
+        def counting_powers(v, out):
+            powers.append((which(v), len(out)))
+            return real_powers(v, out)
+
+        def counting_quantile(v, *args, **kwargs):
+            quantiles.append(which(v))
+            return real_quantile(v, *args, **kwargs)
 
         def counting_design(x1, x2, a_n, *args):
             designs.append(a_n)
             return real_design(x1, x2, a_n, *args)
 
-        monkeypatch.setattr(design, "build_basis", counting_basis)
+        monkeypatch.setattr(basis, "_power_rows", counting_powers)
+        monkeypatch.setattr(np, "quantile", counting_quantile)
         monkeypatch.setattr(tuning, "simulation_design", counting_design)
-        grid = TuningGrid(tuple(range(4, 10)))
-        data_driven_decisions(y, x1, x2, grid, family=family)
-        assert designs == list(grid.candidates)
-        assert sorted(built) == [(v, a) for v in ("x1", "x2") for a in grid.candidates]
+        for grid in (TuningGrid(tuple(range(4, 10))), TuningGrid(tuple(range(4, 13)))):
+            powers.clear()
+            quantiles.clear()
+            designs.clear()
+            data_driven_decisions(y, x1, x2, grid, family=family)
+            top = grid.candidates[-1] - 1 if family == "power" else 3
+            assert designs == list(grid.candidates)
+            assert sorted(powers) == [("x1", top), ("x2", top)]
+            assert sorted(quantiles) == ([] if family == "power" else ["x1", "x2"])
 
     def inject(self, monkeypatch, r_n):
         """lm_statistic raising SingularMomentMatrixError for the candidate with r_n."""
