@@ -187,21 +187,22 @@ class SeriesColumns:
     """The basis columns of one variable for any of several BasisSpecs.
 
     ``specs`` lists every spec whose basis may be asked for; the knots of
-    all their knot counts come from one ``np.quantile`` call, made when a
-    spline basis is first asked for.  ``terms(spec)`` gives one basis's
-    labels and column keys and runs its knot checks; ``evaluate(keys)``
-    computes distinct keys, each once.  A key is ``j`` for the power v^j and
-    ``(s, t)`` for the knot column (v - t)_+^s.
+    all their knot counts come from one ``np.quantile`` call, made here.
+    ``terms(spec)`` gives the labels and column keys of one of those specs'
+    bases and runs its knot checks; ``evaluate(keys)`` computes distinct
+    keys, each once.  A key is ``j`` for the power v^j and ``(s, t)`` for the
+    knot column (v - t)_+^s.
     """
 
     def __init__(self, v, specs, name: str = "v"):
         self.v = _as_vector(v)
         self.name = name
-        self._counts = {spec.n_knots for spec in specs} - {0}
-        self._knots = self._max = None
+        counts = {spec.n_knots for spec in specs} - {0}
+        self._knots = _place_knots(self.v, counts) if counts else {}
+        self._max = float(np.max(self.v))
 
     def terms(self, spec: BasisSpec) -> tuple:
-        """``(labels, keys)`` of ``spec``'s basis, placing its knots from the sample.
+        """``(labels, keys)`` of ``spec``'s basis, its knots placed from the sample.
 
         A power basis is the knot-free spline of order ``a - 1``.  Quantile
         knots that coincide (tied data, a constant sample) or reach the sample
@@ -214,10 +215,6 @@ class SeriesColumns:
         if q:
             if self.v.size <= q:
                 raise ValueError(f"need more than {q} observations to place {q} knots")
-            if self._knots is None or q not in self._knots:
-                self._counts.add(q)
-                self._knots = _place_knots(self.v, self._counts)
-                self._max = float(np.max(self.v))
             knots = self._knots[q]
             if knots[-1] >= self._max or any(b <= a for a, b in zip(knots, knots[1:])):
                 raise DesignError(

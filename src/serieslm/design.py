@@ -17,7 +17,6 @@ grid candidates.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from dataclasses import dataclass, field, replace
@@ -250,9 +249,6 @@ def _term_label(factors) -> str:
     return "*".join(_power_label(v, p) for v, p in factors)
 
 
-# The two caches below hold frozen values, one per basis size or grid size in
-# use, so they stay small; every sample of a run asks for the same ones.
-@functools.lru_cache(maxsize=None)
 def _restricted(bspec: BasisSpec) -> BasisSpec:
     return replace(bspec, a=restricted_interaction_order(bspec.a))
 
@@ -260,34 +256,21 @@ def _restricted(bspec: BasisSpec) -> BasisSpec:
 class ColumnTable:
     """Every column that a set of model specs needs on one sample, each computed once.
 
-    ``data`` maps variable names to equal-length numeric vectors.  On the
-    first ``design`` call the table plans each spec in turn, in the order and
-    with the checks of a lone ``build_partially_linear``.  Each distinct
-    column gets one id: the constant, a column of one variable's
-    ``SeriesColumns`` (a linear regressor is its first power), a custom term,
-    or a product of two series columns.  The table then computes each id
-    once into one C-ordered n x K ``array``, and ``design`` gathers a spec's
-    W and Z from it with one ``take`` apiece, so they come out C-ordered.  A
-    spec whose plan fails keeps its error, which ``design`` raises for that
-    spec alone, so designs asked for in turn fail where lone builds would.
+    ``data`` maps variable names to equal-length numeric vectors.  The table
+    plans each spec in turn, in the order and with the checks of a lone
+    ``build_partially_linear``.  Each distinct column gets one id: the
+    constant, a column of one variable's ``SeriesColumns`` (a linear
+    regressor is its first power), a custom term, or a product of two series
+    columns.  The table then computes each id once into one C-ordered n x K
+    ``array``, and ``design`` gathers a spec's W and Z from it with one
+    ``take`` apiece, so they come out C-ordered.  A spec whose plan fails
+    keeps its error, which ``design`` raises for that spec alone, so designs
+    asked for in turn fail where lone builds would.
     """
 
     def __init__(self, data, specs):
         self._data = data
         self._specs = list(specs)
-        self._plans = None
-
-    def design(self, spec: ModelSpec) -> DesignPair:
-        if self._plans is None:
-            self._build()
-        plan = self._plans[self._specs.index(spec)]
-        if isinstance(plan, Exception):
-            raise plan
-        w_at, z_at, w_labels, z_labels = plan
-        return DesignPair(self.array.take(w_at, 1), self.array.take(z_at, 1),
-                          w_labels, z_labels)
-
-    def _build(self):
         self._n, self._vectors, self._series, self._sources = None, {}, {}, {}
         # column ids: 0 is the constant; then (variable, key) of a series
         # column, the factors of a custom term, or the ids of a product's factors
@@ -296,9 +279,13 @@ class ColumnTable:
         self._wanted = {}  # variable -> every BasisSpec a spec may ask of it
         for spec in self._specs:
             alt = spec.alternative
-            for var, bspec in (*spec.series_vars, *alt.basis,
-                               *((v, _restricted(b)) for v, b in alt.basis)):
+            for var, bspec in (*spec.series_vars, *alt.basis):
                 self._wanted.setdefault(var, []).append(bspec)
+            for var, bspec in alt.basis if alt.recipe == "restricted_tensor" else ():
+                try:
+                    self._wanted[var].append(_restricted(bspec))
+                except ValueError:
+                    pass  # too small for its spline order: the spec's plan raises it
         plans = []
         for spec in self._specs:
             try:
@@ -308,6 +295,14 @@ class ColumnTable:
         at = self._fill()
         self._plans = [plan if isinstance(plan, Exception)
                        else (at[plan[0]], at[plan[1]], *plan[2:]) for plan in plans]
+
+    def design(self, spec: ModelSpec) -> DesignPair:
+        plan = self._plans[self._specs.index(spec)]
+        if isinstance(plan, Exception):
+            raise plan
+        w_at, z_at, w_labels, z_labels = plan
+        return DesignPair(self.array.take(w_at, 1), self.array.take(z_at, 1),
+                          w_labels, z_labels)
 
     def _id(self, ids: dict, key) -> int:
         """The column id of ``key`` in ``ids``, a new one the first time."""
@@ -372,11 +367,13 @@ class ColumnTable:
                       [self._id(self._term_ids, t) for t in terms])]
         else:
             extra = [self._basis(var, bspec) for var, bspec in alt.basis]
-        shrink = alt.recipe == "restricted_tensor"
-        inter = [(v, _restricted(s) if shrink else s)
-                 for v, s in alt.basis] if alt.recipe.endswith("_tensor") else []
-        for basis in inter:  # each is checked, as in a lone build, partner or not
-            self._basis(*basis)
+        inter = []
+        if alt.recipe.endswith("_tensor"):
+            # each basis is resized and checked in turn, partner or not
+            for var, bspec in alt.basis:
+                inter.append((var, _restricted(bspec) if alt.recipe == "restricted_tensor"
+                              else bspec))
+                self._basis(*inter[-1])
         extra += [self._products(*pair) for pair in combinations(inter, 2)]
 
         # a Z label already in W or earlier in Z is dropped, with its column
@@ -439,7 +436,6 @@ def build_partially_linear(data, spec: ModelSpec, table=None) -> DesignPair:
     return (ColumnTable(data, (spec,)) if table is None else table).design(spec)
 
 
-@functools.lru_cache(maxsize=None)
 def simulation_spec(a_n: int, family: str = "power") -> ModelSpec:
     """The spec of ``simulation_design`` over the variables x1 and x2."""
     if a_n < SIMULATION_A_MIN:

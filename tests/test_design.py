@@ -167,6 +167,30 @@ class TestSharedBasisTable:
             same_design(table.design(spec), want)
         assert failed and len(failed) < len(specs)
 
+    def test_high_order_spline_fails_only_where_its_restricted_size_is_too_small(self):
+        # restricted_interaction_order(6) = 5 leaves no room for a spline of
+        # order 5, which only the restricted recipe asks for
+        rng = np.random.default_rng(4)
+        data = {"x1": rng.normal(size=200), "x2": rng.uniform(-2.0, 2.0, 200)}
+        bspec = BasisSpec("spline", 6, spline_order=5)
+        specs = [ModelSpec(("x1",), (("x2", bspec),),
+                           AlternativeSpec(recipe, (("x1", bspec), ("x2", bspec))))
+                 for recipe in ("full_tensor", "restricted_tensor", "additive_only")]
+        table = ColumnTable(data, specs)
+        for spec in specs:
+            if spec.alternative.recipe == "restricted_tensor":
+                for build in (lambda: build_partially_linear(data, spec),
+                              lambda: table.design(spec)):
+                    with pytest.raises(ValueError, match=re.escape("(got a=5, s=5)")):
+                        build()
+                continue
+            got = build_partially_linear(data, spec)
+            want = per_column_design(data, spec)
+            assert (got.w_labels, got.z_labels) == want[2:]
+            assert np.array_equal(got.w.view(np.int64), want[0].view(np.int64))
+            assert np.array_equal(got.z.view(np.int64), want[1].view(np.int64))
+            same_design(table.design(spec), got)
+
 
 class TestBuildPartiallyLinear:
     def test_additive_only_higher_powers(self):
@@ -386,8 +410,8 @@ def models(draw):
     family = draw(st.sampled_from(["power", "spline"]))
 
     def bspec():
-        order = draw(st.integers(1, 3))
-        return BasisSpec(family, draw(st.integers(order + 1, 7)), order)
+        order = draw(st.integers(1, 6))
+        return BasisSpec(family, draw(st.integers(order + 1, 9)), order)
 
     names = draw(st.permutations(NAMES))
     n_linear = draw(st.integers(0, 2))
@@ -422,10 +446,10 @@ class TestLabelRule:
         for spec in specs:
             try:
                 want = per_column_design(data, spec)
-            except DesignError as exc:
+            except (DesignError, ValueError) as exc:
                 for build in (lambda: build_partially_linear(data, spec),
                               lambda: table.design(spec)):
-                    with pytest.raises(DesignError, match=re.escape(str(exc))):
+                    with pytest.raises(type(exc), match=re.escape(str(exc))):
                         build()
                 continue
             got = build_partially_linear(data, spec)
