@@ -27,6 +27,7 @@ from .design import (
 from .distributions import chisq_cdf, chisq_quantile, normal_cdf, normal_quantile
 from .errors import (
     DesignError,
+    ExactFitError,
     InputError,
     RankDeficiencyError,
     SeriesLMError,
@@ -53,6 +54,7 @@ __all__ = [
     "DesignError",
     "DesignPair",
     "DgpSpec",
+    "ExactFitError",
     "FitResult",
     "InputError",
     "McConfig",

@@ -11,10 +11,13 @@ so results are reproducible independently of how draws are partitioned.
 
 The draws run in blocks of ``_BLOCK``.  A block's synthetic errors are
 annihilated as one n x block matrix, its scores Zt'e* come from one product,
-and the squared residuals are floored per column.  The upper triangles of
-all the block's inner matrices Zt' diag(e*^2) Zt are built together, one row
-slice at a time; each draw is then factored on its own, so a singular draw
-costs only its own statistic (NaN).
+and the squared residuals S are floored per column.  The upper triangles of
+all the block's inner matrices Zt' diag(s_b) Zt are the rows of K' S, where
+K is the Khatri-Rao (column-wise Kronecker) product of Zt with itself
+restricted to i <= j: column (i, j) of K is zt_i * zt_j.  K' is built a
+panel of rows at a time, and each panel is one well-shaped product with all
+the block's draws.  Each draw is then factored on its own, so a singular
+draw costs only its own statistic (NaN).
 """
 
 from __future__ import annotations
@@ -41,8 +44,12 @@ MULTIPLIERS = ("rademacher", "mammen")
 # aborts the run.
 MAX_FAILURE_FRAC = 0.01
 
-# Draws per block; a block holds 4 r (r + 1) + 16 n bytes per draw.
-_BLOCK = 64
+# Draws per block, and entries of one panel of Khatri-Rao rows (2 MiB).  A
+# block holds 8 n + 4 r (r + 1) bytes per draw (its weights and packed
+# triangles) besides one panel and Zt' itself: one call at n = 1250, r = 89
+# peaks at 7.4 MB.
+_BLOCK = 100
+_PANEL_SIZE = 1 << 18
 
 
 def draw_multipliers(dist: str, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -86,10 +93,37 @@ def unreachable_levels(valid_draws: int, levels):
                                     if 1.0 / (b + 1.0) <= min(unreachable))
 
 
-def _block_statistics(fit: FitResult, zt: np.ndarray, dist: str, seed: int,
+def _packed_grams(zt_rows: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Upper triangles of every draw's Zt' diag(s_b) Zt, one column per draw.
+
+    Row (i, j) of the result, i <= j in ``np.triu_indices`` order, is row
+    (i, j) of the Khatri-Rao matrix K' (rows zt_i * zt_j, with ``zt_rows``
+    = Zt') times the n x draws weights ``s``.  K' is built a panel of rows at a
+    time into one buffer, and each panel is one product with every draw.
+    """
+    r_n, n = zt_rows.shape
+    total = r_n * (r_n + 1) // 2
+    packed = np.empty((total, s.shape[1]))
+    panel = np.empty((min(max(_PANEL_SIZE // n, 1), total), n))
+    done = fill = 0
+    for i in range(r_n):
+        j = i
+        while j < r_n:
+            k = min(r_n - j, len(panel) - fill)
+            np.multiply(zt_rows[i], zt_rows[j:j + k], out=panel[fill:fill + k])
+            j += k
+            fill += k
+            if fill == len(panel) or done + fill == total:
+                np.matmul(panel[:fill], s, out=packed[done:done + fill])
+                done += fill
+                fill = 0
+    return packed
+
+
+def _block_statistics(fit: FitResult, zt_rows: np.ndarray, dist: str, seed: int,
                       draws: range) -> np.ndarray:
     """Standardized statistics of the given draws, NaN where the inner matrix is singular."""
-    n, r_n = zt.shape
+    r_n, n = zt_rows.shape
     e = np.empty((n, len(draws)))
     for j, b in enumerate(draws):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(
@@ -97,21 +131,15 @@ def _block_statistics(fit: FitResult, zt: np.ndarray, dist: str, seed: int,
         e[:, j] = draw_multipliers(dist, n, rng)
     e *= fit.residuals[:, None]
     e = annihilate(fit, e)
-    u = zt.T @ e
-    s = floored_squares(e)[0].T
+    u = zt_rows @ e
+    s = floored_squares(e)[0]
     del e
-    # each draw's Zt' diag(s_b) Zt as its upper triangle packed row by row,
-    # one row slice of every draw per product
     upper = np.triu_indices(r_n)
-    packed = np.empty((len(draws), upper[0].size))
-    start = 0
-    for i in range(r_n):
-        packed[:, start:start + r_n - i] = (s * zt[:, i]) @ zt[:, i:]
-        start += r_n - i
+    packed = _packed_grams(zt_rows, s)
     inner = np.zeros((r_n, r_n))
     t_star = np.empty(len(draws))
     for j in range(len(draws)):
-        inner[upper] = packed[j]
+        inner[upper] = packed[:, j]
         try:
             # the transpose hands the filled triangle to the lower Cholesky factor
             stat = _quadform(inner.T, u[:, j], "restriction moment matrix")
@@ -151,8 +179,9 @@ def wild_bootstrap(fit: FitResult, z_resid, t_observed: float, n_draws: int = 39
     if r_n < 1 or z_resid.shape[0] != fit.n_obs:
         raise ValueError("z_resid must be n x r with r >= 1")
 
+    zt_rows = np.ascontiguousarray(z_resid.T)
     t_star = np.concatenate([
-        _block_statistics(fit, z_resid, dist, seed,
+        _block_statistics(fit, zt_rows, dist, seed,
                           range(start, min(start + _BLOCK, n_draws)))
         for start in range(0, n_draws, _BLOCK)])
 

@@ -24,6 +24,7 @@ from .design import (MODEL, REQUIRED, ModelSpec, build_partially_linear, check_j
                      screen_collinear)
 from .errors import (
     DesignError,
+    ExactFitError,
     InputError,
     RankDeficiencyError,
     SeriesLMError,
@@ -178,7 +179,8 @@ def cmd_test(args) -> int:
     pair, dropped = screen_collinear(pair)
     if pair.r_n < 1:
         raise DesignError("no alternative columns survive screening")
-    result = run_test(y, pair.w, pair.z, variant=args.variant, levels=levels)
+    result = run_test(y, pair.w, pair.z, variant=args.variant, levels=levels,
+                      response=y_name)
 
     print(f"data: {dataset.source} (n = {dataset.n})")
     print(f"design: m_n = {pair.m_n}, r_n = {pair.r_n}, k_n = {pair.k_n}"
@@ -238,7 +240,8 @@ def cmd_tune(args) -> int:
         if name not in dataset:
             raise InputError(f"column {name!r} not in dataset")
     result = data_driven_test(dataset[args.y], dataset[args.x1], dataset[args.x2], grid,
-                              family=args.family, levels=levels, criterion=args.criterion)
+                              family=args.family, levels=levels, criterion=args.criterion,
+                              response=args.y)
 
     print(f"criterion = {result.criterion}")
     print("candidates (a, m_n, r_n, rss, statistic):")
@@ -391,7 +394,7 @@ def main(argv=None) -> int:
     except (InputError, DesignError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (RankDeficiencyError, SingularMomentMatrixError) as exc:
+    except (RankDeficiencyError, SingularMomentMatrixError, ExactFitError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except SeriesLMError as exc:

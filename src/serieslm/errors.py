@@ -23,3 +23,7 @@ class RankDeficiencyError(SeriesLMError):
 
 class SingularMomentMatrixError(SeriesLMError):
     """The inner moment matrix of a quadratic-form statistic is singular."""
+
+
+class ExactFitError(SeriesLMError):
+    """The response is constant or fit by the null design to rounding level."""

@@ -32,7 +32,7 @@ import numpy as np
 import scipy.linalg
 
 from .distributions import chisq_quantile, chisq_sf, normal_quantile, normal_sf
-from .errors import SingularMomentMatrixError
+from .errors import ExactFitError, SingularMomentMatrixError
 from .regress import ols_fit, residualize_block
 
 __all__ = [
@@ -43,6 +43,7 @@ __all__ = [
     "variant_statistic",
     "standardize",
     "chisq_rule",
+    "check_not_exact_fit",
     "run_test",
 ]
 
@@ -50,6 +51,11 @@ __all__ = [
 VARIANTS = ("ols_short", "ols_long", "fgls_long", "fgls_short")
 
 RESIDUAL_FLOOR_REL = 1e-12
+
+# An RSS at most this fraction of the response's centred total sum of squares
+# is an exact fit: R^2 = 1 - RSS / TSS rounds to 1, so the residuals, and any
+# statistic built on them, are rounding noise.
+EXACT_FIT_RTOL = float(np.finfo(float).eps)
 
 
 def floored_squares(residuals: np.ndarray) -> tuple:
@@ -214,6 +220,22 @@ def chisq_rule(stat: float, df: int, levels) -> tuple:
     }
 
 
+def check_not_exact_fit(y: np.ndarray, rss=None, response: str = "y"):
+    """Raise ``ExactFitError`` if ``y`` is constant or, given the null fit's
+    RSS, fit to within ``EXACT_FIT_RTOL`` of its centred total sum of squares."""
+    if y.max() == y.min():
+        raise ExactFitError(f"response {response!r} is constant (centred TSS = 0); "
+                            "there is no variation for a specification test to explain")
+    if rss is None:
+        return
+    ratio = rss / float(np.sum(np.square(y - y.mean())))
+    if ratio <= EXACT_FIT_RTOL:
+        raise ExactFitError(
+            f"response {response!r} is fit exactly by the null design (RSS / centred "
+            f"TSS = {ratio:.3g}, at most {EXACT_FIT_RTOL:.3g}); its residuals are "
+            "rounding noise, and so would be any statistic")
+
+
 @dataclass(frozen=True)
 class TestResult:
     """Outcome of one specification test."""
@@ -233,12 +255,14 @@ class TestResult:
 
 
 def run_test(y, w, z, variant: str = "ols_short", levels=(0.05,),
-             true_variances=None) -> TestResult:
+             true_variances=None, response: str = "y") -> TestResult:
     """Fit the null model, evaluate a statistic variant, and decide.
 
     The headline decision rule is one-sided normal: reject at level a when
     t > z_{1-a}.  The chi-square(r_n) rule (reject when the quadratic form
-    exceeds its upper quantile) is always computed alongside.
+    exceeds its upper quantile) is always computed alongside.  A constant or
+    exactly fit response, named ``response`` in the message, raises
+    ``ExactFitError`` (see ``check_not_exact_fit``).
     """
     y = np.asarray(y, dtype=float).ravel()
     w = np.asarray(w, dtype=float)
@@ -247,6 +271,7 @@ def run_test(y, w, z, variant: str = "ols_short", levels=(0.05,),
         raise ValueError("alternative design Z must have at least one column")
 
     fit = ols_fit(w, y)
+    check_not_exact_fit(y, fit.rss, response)
     zt = residualize_block(fit, z)
     weights = (
         VarianceWeights.from_true(true_variances)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .design import SIMULATION_A_MIN, ColumnTable, simulation_design, simulation_spec
-from .lmtest import VarianceWeights, chisq_rule, lm_statistic
+from .lmtest import VarianceWeights, check_not_exact_fit, chisq_rule, lm_statistic
 from .regress import ols_fit, residualize_block
 
 __all__ = [
@@ -171,14 +171,22 @@ def data_driven_decisions(y, x1, x2, grid: TuningGrid, family: str = "power",
 
 
 def data_driven_test(y, x1, x2, grid: TuningGrid, family: str = "power",
-                     levels=(0.05,), criterion: str = "cp") -> DataDrivenResult:
+                     levels=(0.05,), criterion: str = "cp",
+                     response: str = "y") -> DataDrivenResult:
     """Run the specification test with tuned series sizes.
 
     Every grid candidate ``a`` induces its paired (W, Z) design; Cp or GCV
     picks the null size ``a_hat`` from the W fits, the penalized criterion
     picks the restriction count among candidates with ``a >= a_hat``, the
     only ones whose statistic is computed, and the null is rejected when the
-    winning statistic exceeds the chi-square(r_min) critical value.
+    winning statistic exceeds the chi-square(r_min) critical value.  A
+    constant response, or one that a tested candidate fits exactly, raises
+    ``ExactFitError`` naming ``response``.
     """
-    return data_driven_decisions(y, x1, x2, grid, family=family, levels=levels,
-                                 criteria=(criterion,))[criterion]
+    y = np.asarray(y, dtype=float).ravel()
+    check_not_exact_fit(y, response=response)
+    result = data_driven_decisions(y, x1, x2, grid, family=family, levels=levels,
+                                   criteria=(criterion,))[criterion]
+    # every tested candidate's statistic must rest on more than rounding noise
+    check_not_exact_fit(y, min(row[3] for row in result.candidate_table), response)
+    return result

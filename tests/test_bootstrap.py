@@ -1,6 +1,7 @@
 """Wild bootstrap: multiplier laws, the no-refit shortcut, determinism."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,15 +167,53 @@ class TestWildBootstrap:
 class TestBlockedDraws:
     """The blocked computation against the per-draw oracle, across block edges."""
 
+    @staticmethod
+    def block_edges():
+        """Draw counts at the edges of one and two blocks, and B = 199."""
+        d = bt._BLOCK
+        return (1, d - 1, d, d + 1, 2 * d + 1, 199)
+
     @pytest.mark.parametrize("dist", bt.MULTIPLIERS)
     @pytest.mark.parametrize("n_draws", [1, 63, 64, 65, 199])
     def test_matches_per_draw_oracle(self, n_draws, dist):
-        assert bt._BLOCK == 64
         fit, zt, _, _, _ = make_fit(seed=21, n=120, m=4, r=9)
         res = bt.wild_bootstrap(fit, zt, 0.4, n_draws=n_draws, dist=dist, seed=8)
         expected, _ = per_draw_oracle(fit, zt, dist, 8, n_draws)
         assert res.t_star.shape == (n_draws,) and res.n_failed == 0
         np.testing.assert_allclose(res.t_star, expected, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("r", [1, 9, 30, 89])
+    def test_block_edges_match_per_draw_oracle(self, r):
+        # at n = 300 the triangle of r = 89 (4005 rows of K') spans five panels
+        fit, zt, _, _, _ = make_fit(seed=24, n=300, m=4, r=r)
+        edges = self.block_edges()
+        expected, _ = per_draw_oracle(fit, zt, "rademacher", 8, max(edges))
+        for n_draws in edges:
+            res = bt.wild_bootstrap(fit, zt, 0.4, n_draws=n_draws, seed=8)
+            assert res.t_star.shape == (n_draws,) and res.n_failed == 0
+            np.testing.assert_allclose(res.t_star, expected[:n_draws], rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("rows", [1, 2, 7, 44, 45, 46])
+    def test_panels_cut_anywhere_in_the_triangle(self, monkeypatch, rows):
+        # the 45 rows of K' at r = 9 in panels of ``rows``: cuts inside and
+        # at the ends of each row run (i, i..8), and a single panel
+        fit, zt, _, _, _ = make_fit(seed=25, n=100, m=3, r=9)
+        monkeypatch.setattr(bt, "_PANEL_SIZE", rows * 100)
+        res = bt.wild_bootstrap(fit, zt, 0.0, n_draws=30, dist="mammen", seed=4)
+        expected, _ = per_draw_oracle(fit, zt, "mammen", 4, 30)
+        np.testing.assert_allclose(res.t_star, expected, rtol=1e-10, atol=0)
+
+    def test_peak_memory_of_one_call(self):
+        # the benchmark's test size: Zt' and one block's weights, packed
+        # triangles and panel fit in 8 MB; all draws at once took 11.6 MB
+        fit, zt, _, _, _ = make_fit(seed=26, n=1250, m=21, r=89)
+        tracemalloc.start()
+        try:
+            bt.wild_bootstrap(fit, zt, 0.0, n_draws=199, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
 
     def test_planted_zero_residual_is_floored_in_every_draw(self):
         # W vanishes on the last observation and so does y: its residual is
@@ -216,6 +255,19 @@ class TestBlockedDraws:
         np.testing.assert_array_equal(np.isnan(res.t_star), np.isnan(expected))
         assert np.flatnonzero(np.isnan(res.t_star)).tolist() == [64]
         assert res.n_failed == 1
+        np.testing.assert_allclose(res.t_star, expected, rtol=1e-10, atol=0)
+
+    def test_singular_draws_across_blocks_and_panels(self, monkeypatch):
+        # r = 89 at n = 300 spans five panels; the zero draws sit on either
+        # side of the first block edge
+        fit, zt, _, _, _ = make_fit(seed=27, n=300, m=4, r=89)
+        d = bt._BLOCK
+        self.vanishing_multipliers(monkeypatch, {d - 1, d})
+        res = bt.wild_bootstrap(fit, zt, 0.0, n_draws=2 * d + 1, seed=5)
+        expected, _ = per_draw_oracle(fit, zt, "rademacher", 5, 2 * d + 1)
+        assert np.flatnonzero(np.isnan(res.t_star)).tolist() == [d - 1, d]
+        np.testing.assert_array_equal(np.isnan(res.t_star), np.isnan(expected))
+        assert res.n_failed == 2
         np.testing.assert_allclose(res.t_star, expected, rtol=1e-10, atol=0)
 
     def test_failures_above_the_limit_raise(self, monkeypatch):

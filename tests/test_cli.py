@@ -59,6 +59,24 @@ def write_gasoline_csv(path, n=250, seed=7):
     return path
 
 
+def write_exact_fit_csv(path, kind):
+    """A constant response, or one inside the span of ``sim_model``'s W."""
+    _, x1, x2 = gen_sample(DgpSpec(300, "null", seed=3))
+    y = np.full(300, 2.5) if kind == "constant" else 1.0 + x1 + x2 ** 2
+    return write_columns(path, demand=y, x1=x1, x2=x2)
+
+
+def exact_fit_message(err, kind):
+    """Check the one stderr line an exact fit gives, naming the response."""
+    head = "numerical failure: response 'demand' is "
+    assert err.startswith(head) and err.count("\n") == 1
+    if kind == "constant":
+        assert err[len(head):].startswith("constant (centred TSS = 0)")
+    else:
+        ratio = re.search(r"RSS / centred TSS = (\S+),", err)
+        assert ratio and float(ratio.group(1)) <= np.finfo(float).eps
+
+
 def sim_model():
     return {
         "linear_vars": ["x1"],
@@ -483,6 +501,18 @@ class TestCmdTest:
             "input error: variable 'x2' has 1 distinct values, too few for 1 distinct "
             "spline knots below its maximum\n")
 
+    @pytest.mark.parametrize("kind", ["constant", "in W's span"])
+    def test_exact_fit_is_numerical_error_naming_the_response(self, tmp_path, capsys,
+                                                              kind):
+        # a statistic of rounding noise used to be printed with exit 0
+        data = write_exact_fit_csv(tmp_path / "d.csv", kind)
+        cfg = sim_config(tmp_path / "c.json", y="demand")
+        assert main(["test", "--data", str(data), "--config", str(cfg),
+                     "--bootstrap", "99"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        exact_fit_message(err, kind)
+
     def test_gasoline_recipe_counts(self, tmp_path):
         p = write_gasoline_csv(tmp_path / "gas.csv")
         out = tmp_path / "res.json"
@@ -689,6 +719,16 @@ class TestCmdTune:
         assert capsys.readouterr().err == (
             "input error: variable 'x2' has 1 distinct values, too few for 1 distinct "
             "spline knots below its maximum\n")
+
+    @pytest.mark.parametrize("kind", ["constant", "in W's span"])
+    def test_exact_fit_is_numerical_error_naming_the_response(self, tmp_path, capsys,
+                                                              kind):
+        data = write_exact_fit_csv(tmp_path / "d.csv", kind)
+        assert main(["tune", "--data", str(data), "--y", "demand", "--x1", "x1",
+                     "--x2", "x2"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        exact_fit_message(err, kind)
 
     def test_tuned_test_missing_column_is_input_error(self, tmp_path, capsys):
         # an input error naming the column, not an uncaught KeyError

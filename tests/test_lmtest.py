@@ -8,11 +8,13 @@ import scipy.stats
 from serieslm.design import simulation_design
 from serieslm import lmtest
 from serieslm.distributions import chisq_cdf, normal_cdf
-from serieslm.errors import SingularMomentMatrixError
+from serieslm.errors import ExactFitError, SingularMomentMatrixError
 from serieslm.mc import DgpSpec, gen_sample
 from serieslm.lmtest import (
+    EXACT_FIT_RTOL,
     VARIANTS,
     VarianceWeights,
+    check_not_exact_fit,
     lm_statistic,
     run_test,
     standardize,
@@ -269,6 +271,35 @@ class TestRunTest:
         w, _, y, _, _, _ = make_instance(74, 30, 3, 2)
         with pytest.raises(ValueError):
             run_test(y, w, np.empty((30, 0)))
+
+
+class TestExactFitGuard:
+    @staticmethod
+    def null_design(seed=75):
+        y, x1, x2 = gen_sample(DgpSpec(300, "null", seed=seed))
+        return y, x1, x2, simulation_design(x1, x2, 5)
+
+    @pytest.mark.parametrize("kind", ["constant", "zero", "in W's span"])
+    def test_exact_fits_raise_naming_the_response(self, kind):
+        _, x1, x2, pair = self.null_design()
+        y = {"constant": np.full(300, 2.5), "zero": np.zeros(300),
+             "in W's span": 1.0 + x1 + x2 ** 2}[kind]
+        with pytest.raises(ExactFitError, match="response 'demand' is"):
+            run_test(y, pair.w, pair.z, response="demand")
+
+    def test_a_small_but_real_error_is_tested(self):
+        # RSS / TSS is 2.6e-14, two orders above the threshold
+        y, x1, x2, pair = self.null_design()
+        res = run_test(1.0 + x1 + x2 ** 2 + 1e-7 * y, pair.w, pair.z)
+        assert res.statistic >= 0.0
+
+    def test_threshold_is_inclusive(self):
+        y = np.arange(10.0)
+        tss = float(np.sum((y - y.mean()) ** 2))
+        with pytest.raises(ExactFitError, match=r"RSS / centred TSS = 2\.22e-16"):
+            check_not_exact_fit(y, EXACT_FIT_RTOL * tss)
+        check_not_exact_fit(y, 2.0 * EXACT_FIT_RTOL * tss)
+        check_not_exact_fit(y)
 
 
 class TestVarianceWeights:

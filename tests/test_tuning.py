@@ -12,7 +12,7 @@ import scipy.stats
 from serieslm import basis, cli, mc, tuning
 from serieslm.design import simulation_design
 from serieslm.distributions import chisq_quantile
-from serieslm.errors import RankDeficiencyError, SingularMomentMatrixError
+from serieslm.errors import ExactFitError, RankDeficiencyError, SingularMomentMatrixError
 from serieslm.mc import DgpSpec, McConfig, gen_sample, run_mc
 from serieslm.lmtest import VarianceWeights, lm_statistic, run_test
 from serieslm.regress import ols_fit, residualize_block
@@ -243,6 +243,18 @@ def oracle_decisions(y, x1, x2, grid, family, levels):
         out[criterion] = (rows[0][0], r_hat, r_min, stat, rows, {
             a: stat > scipy.stats.chi2.ppf(1.0 - a, r_min) for a in levels})
     return out
+
+
+class TestExactFitGuard:
+    def test_tuned_test_refuses_an_exact_fit_and_the_mc_path_does_not_check(self):
+        # the guard sits in data_driven_test only, so no simulated
+        # replication's outcome can move
+        _, x1, x2 = gen_sample(DgpSpec(300, "null", seed=5))
+        y = 1.0 + x1 + x2 ** 2
+        with pytest.raises(ExactFitError, match="response 'demand' is fit exactly"):
+            data_driven_test(y, x1, x2, TuningGrid((4, 5, 6)), response="demand")
+        decisions = data_driven_decisions(y, x1, x2, TuningGrid((4, 5, 6)))
+        assert set(decisions) == {"cp", "gcv"}
 
 
 class TestDataDrivenDecisions:
