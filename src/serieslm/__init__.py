@@ -34,8 +34,8 @@ from .errors import (
     SingularMomentMatrixError,
 )
 from .lmtest import (
+    SampleFit,
     TestResult,
-    VarianceWeights,
     lm_statistic,
     run_test,
     standardize,
@@ -61,11 +61,11 @@ __all__ = [
     "McReport",
     "ModelSpec",
     "RankDeficiencyError",
+    "SampleFit",
     "SeriesLMError",
     "SingularMomentMatrixError",
     "TestResult",
     "TuningGrid",
-    "VarianceWeights",
     "annihilate",
     "build_partially_linear",
     "chisq_cdf",

@@ -1,11 +1,12 @@
 """Wild bootstrap critical values for the standardized LM statistic.
 
-Each draw multiplies the restricted residuals by an i.i.d. mean-zero,
-unit-variance two-point variable (Rademacher or Mammen), re-applies the
-annihilator of the null design to the synthetic errors (no refitting is
-needed: the bootstrap residuals equal M_W eps* exactly), and recomputes the
-statistic of ``lm_statistic``, weighted by the draw's own squared residuals
-under the same floor as the observed statistic.  Draw b uses the substream
+Each draw multiplies the restricted residuals of a ``lmtest.SampleFit`` by an
+i.i.d. mean-zero, unit-variance two-point variable (Rademacher or Mammen),
+re-applies the annihilator of the null design to the synthetic errors (no
+refitting is needed: the bootstrap residuals equal M_W eps* exactly), and
+recomputes the quadratic form of ``lm_statistic`` on the sample's Zt, weighted
+by the draw's own squared residuals under the same floor as the observed
+statistic.  Draw b uses the substream
 ``SeedSequence(seed, spawn_key=(b,))`` of a Philox counter-based generator,
 so results are reproducible independently of how draws are partitioned.
 

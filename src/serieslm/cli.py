@@ -30,8 +30,8 @@ from .errors import (
     SeriesLMError,
     SingularMomentMatrixError,
 )
-from .lmtest import VARIANTS, run_test
-from .mc import MC_VARIANTS, McConfig, check_alphas, emit_report, run_mc
+from .lmtest import VARIANTS, check_alphas, run_test
+from .mc import MC_VARIANTS, McConfig, emit_report, run_mc
 from .tuning import CRITERIA, PENALTY_C, TuningGrid, data_driven_test
 
 __all__ = ["Dataset", "load_csv", "main"]
@@ -196,7 +196,7 @@ def cmd_test(args) -> int:
 
     boot_payload = None
     if args.bootstrap:
-        star = wild_bootstrap(result.extras["fit"], result.extras["z_resid"], result.t,
+        star = wild_bootstrap(result.sample.fit, result.sample.zt, result.t,
                               n_draws=args.bootstrap, dist=args.dist, seed=args.seed,
                               levels=levels)
         boot_payload = {

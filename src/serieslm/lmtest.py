@@ -10,8 +10,8 @@ variances, for oracle diagnostics).  Centering by the number of restrictions
 r_n and scaling by sqrt(2 r_n) gives an asymptotically standard normal test
 statistic; the chi-square(r_n) rule is reported alongside.
 
-Every statistic variant is one cell of a 2x2, evaluated by
-``variant_statistic``:
+A ``SampleFit`` holds one sample's null fit, and every statistic variant is
+evaluated from it by ``variant_statistic`` as one cell of a 2x2:
 
                     short block (Zt = M_W Z)    long block (Schur complement)
     OLS residuals   ols_short  (the test)       ols_long
@@ -20,28 +20,32 @@ Every statistic variant is one cell of a 2x2, evaluated by
 The residual choice is the plain OLS residuals with weights S, or the
 residuals of the S^{-1}-weighted refit with weights S^{-1}; the block is the
 restriction block alone ("short") or the Schur complement of the full moment
-set ("long").
+set ("long").  ``lm_statistic`` is the short block's kernel.  The decision
+rules ``normal_rule`` and ``chisq_rule`` take levels ``check_alphas`` admits.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .distributions import chisq_quantile, chisq_sf, normal_quantile, normal_sf
 from .errors import ExactFitError, SingularMomentMatrixError
-from .regress import ols_fit, residualize_block
+from .regress import FitResult, ols_fit, residualize_block
 
 __all__ = [
-    "VarianceWeights",
+    "SampleFit",
     "TestResult",
     "VARIANTS",
     "lm_statistic",
     "variant_statistic",
     "standardize",
+    "check_alphas",
+    "normal_rule",
     "chisq_rule",
     "check_not_exact_fit",
     "run_test",
@@ -68,31 +72,6 @@ def floored_squares(residuals: np.ndarray) -> tuple:
     floor = RESIDUAL_FLOOR_REL * r2.mean(axis=0)
     needs = r2 < floor
     return np.where(needs, floor, r2), needs.any(axis=0)
-
-
-@dataclass(frozen=True)
-class VarianceWeights:
-    """Per-observation variance weights with a small-value floor.
-
-    FGLS-style statistics divide by these, so exact zeros (possible when the
-    null fit interpolates some points) are floored at
-    ``RESIDUAL_FLOOR_REL * mean`` and the flooring is recorded.
-    """
-
-    values: np.ndarray
-    floor_applied: bool
-
-    @classmethod
-    def from_residuals(cls, residuals) -> "VarianceWeights":
-        values, floored = floored_squares(np.asarray(residuals, dtype=float).ravel())
-        return cls(values, bool(floored))
-
-    @classmethod
-    def from_true(cls, sigma2) -> "VarianceWeights":
-        s = np.asarray(sigma2, dtype=float).ravel()
-        if np.any(s <= 0.0) or not np.all(np.isfinite(s)):
-            raise ValueError("true variances must be positive and finite")
-        return cls(s.copy(), False)
 
 
 def _weighted_gram(a: np.ndarray, s: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -130,33 +109,65 @@ def _quadform(inner: np.ndarray, u: np.ndarray, what: str) -> float:
     return float(v @ v)
 
 
-def _short_form(e: np.ndarray, zt: np.ndarray, omega: np.ndarray) -> float:
-    """The short block's quadratic form e' Zt (Zt' diag(omega) Zt)^{-1} Zt' e."""
-    return _quadform(_weighted_gram(zt, omega, zt), zt.T @ e,
+def lm_statistic(residuals, z_resid, weights) -> float:
+    """The short-block kernel e' Zt (Zt' diag(weights) Zt)^{-1} Zt' e; always nonnegative."""
+    r = np.asarray(residuals, dtype=float).ravel()
+    zt = np.asarray(z_resid, dtype=float)
+    if zt.ndim != 2 or not 0 < zt.shape[1] < zt.shape[0] == r.shape[0]:
+        raise ValueError("z_resid must be n x r with 0 < r < n, n matching the residuals")
+    return _quadform(_weighted_gram(zt, np.asarray(weights, dtype=float), zt), zt.T @ r,
                      "restriction moment matrix")
 
 
-def lm_statistic(residuals, z_resid, weights: VarianceWeights) -> float:
-    """Quadratic form r' Zt (Zt' S Zt)^{-1} Zt' r; always nonnegative."""
-    r = np.asarray(residuals, dtype=float).ravel()
-    zt = np.asarray(z_resid, dtype=float)
-    if zt.ndim != 2 or zt.shape[0] != r.shape[0]:
-        raise ValueError("z_resid must be n x r with n matching the residuals")
-    if zt.shape[1] < 1:
-        raise ValueError("need at least one restriction column")
-    if zt.shape[0] <= zt.shape[1]:
-        raise ValueError("need n > r")
-    return _short_form(r, zt, weights.values)
+class SampleFit:
+    """One sample's null fit, and every statistic evaluated from it.
+
+    Holds the OLS fit of Y on W (``fit``), Z, W (read only by the long block
+    and the FGLS refit) and, for oracle statistics, the true error variances.
+    Zt = M_W Z (``zt``) and the floored squared residuals are computed on
+    first use, and each (variant, oracle) statistic once.
+    """
+
+    def __init__(self, fit: FitResult, z, w=None, true_variances=None):
+        self.fit = fit
+        self.z = np.asarray(z, dtype=float)
+        self.w = None if w is None else np.asarray(w, dtype=float)
+        if self.z.ndim != 2 or self.z.shape[1] < 1:
+            raise ValueError("alternative design Z must have at least one column")
+        if true_variances is not None:
+            s = true_variances = np.asarray(true_variances, dtype=float).ravel()
+            if s.shape[0] != fit.n_obs:
+                raise ValueError(f"true_variances has length {s.shape[0]}, "
+                                 f"but the sample has n = {fit.n_obs}")
+            if np.any(s <= 0.0) or not np.all(np.isfinite(s)):
+                raise ValueError("true variances must be positive and finite")
+        self.true_variances = true_variances
+        self._stats = {}
+
+    @functools.cached_property
+    def zt(self) -> np.ndarray:
+        return residualize_block(self.fit, self.z)
+
+    @functools.cached_property
+    def floored(self) -> tuple:
+        """The floored squared residuals, and whether any was raised to the floor."""
+        return floored_squares(self.fit.residuals)
+
+    def statistic(self, variant: str = "ols_short", oracle: bool = False) -> float:
+        """The ``variant`` statistic (see ``variant_statistic``), computed once."""
+        if (variant, oracle) not in self._stats:
+            self._stats[variant, oracle] = variant_statistic(self, variant, oracle)
+        return self._stats[variant, oracle]
 
 
-def variant_statistic(variant: str, residuals, w, z, weights: VarianceWeights,
-                      z_resid=None) -> float:
-    """Evaluate one of the statistic variants on raw designs.
+def variant_statistic(sample: SampleFit, variant: str, oracle: bool = False) -> float:
+    """Evaluate one of the statistic variants on a sample's fit.
 
-    A variant is a residual choice times a variance block.  With
-    S = diag(weights), V = S^{-1}, r the OLS residuals of Y on W, and rv the
-    residuals of the V-weighted refit (so W'V rv = 0), the residual choice
-    fixes the score residuals e and the weights Omega,
+    A variant is a residual choice times a variance block.  With S the
+    diagonal of ``sample.true_variances`` (``oracle``) or of the floored
+    squared residuals, V = S^{-1}, r the OLS residuals of Y on
+    W, and rv the residuals of the V-weighted refit (so W'V rv = 0), the
+    residual choice fixes the score residuals e and the weights Omega,
 
         ols    e = r,       Omega = S
         fgls   e = V rv,    Omega = V
@@ -166,20 +177,21 @@ def variant_statistic(variant: str, residuals, w, z, weights: VarianceWeights,
         short  e' Zt (Zt' Omega Zt)^{-1} Zt' e,            Zt = M_W Z
         long   e' Z  (Z'Omega Z - Z'Omega W (W'Omega W)^{-1} W'Omega Z)^{-1} Z' e
 
-    so ``ols_short`` (the default test) is ``lm_statistic``.  The short block
-    takes ``z_resid`` = Zt if given, else annihilates Z with a fresh
-    factorization of W.  The long block and the FGLS refit share one Cholesky
-    factor of W'Omega W.
+    so ``ols_short`` (the default test) is ``lm_statistic`` on the sample's
+    residuals, Zt and weights.  The long block and the FGLS refit share one
+    Cholesky factor of W'Omega W.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    if oracle and sample.true_variances is None:
+        raise ValueError("an oracle statistic needs true_variances")
     residual_choice, block = variant.split("_")
-    r = np.asarray(residuals, dtype=float).ravel()
-    w = np.asarray(w, dtype=float)
-    z = np.asarray(z, dtype=float)
-
+    r, w, z = sample.fit.residuals, sample.w, sample.z
     fgls = residual_choice == "fgls"
-    omega = 1.0 / weights.values if fgls else weights.values
+    if w is None and (fgls or block == "long"):
+        raise ValueError(f"the {variant} statistic needs W")
+    s = sample.true_variances if oracle else sample.floored[0]
+    omega = 1.0 / s if fgls else s
     if fgls or block == "long":
         lc = _chol(_weighted_gram(w, omega, w), "null moment matrix")
     e = r
@@ -188,10 +200,7 @@ def variant_statistic(variant: str, residuals, w, z, weights: VarianceWeights,
         e = omega * (r - w @ scipy.linalg.cho_solve((lc, True), w.T @ (omega * r)))
 
     if block == "short":
-        if z_resid is None:
-            # only the projection context of the fit is used
-            z_resid = residualize_block(ols_fit(w, np.zeros(r.shape[0])), z)
-        return _short_form(e, z_resid, omega)
+        return lm_statistic(e, sample.zt, omega)
 
     b = _weighted_gram(w, omega, z)
     inner = _weighted_gram(z, omega, z) - b.T @ scipy.linalg.cho_solve((lc, True), b)
@@ -207,6 +216,25 @@ def standardize(stat: float, df: int) -> float:
     if df < 1:
         raise ValueError("df must be >= 1")
     return (stat - df) / math.sqrt(2.0 * df)
+
+
+def check_alphas(levels) -> tuple:
+    """``levels`` as a tuple of distinct floats in first-seen order: at least
+    one, each a test level in (0, 1)."""
+    levels = tuple(levels)
+    if not levels or not all(0.0 < a < 1.0 for a in levels):
+        raise ValueError(f"alpha levels must be numbers in (0, 1), not {list(levels)}")
+    return tuple(dict.fromkeys([float(a) for a in levels]))
+
+
+@functools.lru_cache(maxsize=64)
+def _normal_critical(alpha: float) -> float:
+    return normal_quantile(1.0 - alpha)  # a scalar AS 241 call costs as much as a statistic
+
+
+def normal_rule(t: float, levels) -> dict:
+    """{a: t > z_{1-a}}, the one-sided normal rule of ``run_test`` and the Monte Carlo."""
+    return {float(a): bool(t > _normal_critical(float(a))) for a in levels}
 
 
 def chisq_rule(stat: float, df: int, levels) -> tuple:
@@ -238,7 +266,7 @@ def check_not_exact_fit(y: np.ndarray, rss=None, response: str = "y"):
 
 @dataclass(frozen=True)
 class TestResult:
-    """Outcome of one specification test."""
+    """Outcome of one specification test; ``sample`` is the fit it rests on."""
 
     variant: str
     statistic: float
@@ -248,10 +276,10 @@ class TestResult:
     p_chisq: float
     reject_normal: dict
     reject_chisq: dict
-    m_n: int = 0
-    k_n: int = 0
-    weights_floored: bool = False
-    extras: dict = field(default_factory=dict)
+    m_n: int
+    k_n: int
+    weights_floored: bool
+    sample: SampleFit
 
 
 def run_test(y, w, z, variant: str = "ols_short", levels=(0.05,),
@@ -262,29 +290,19 @@ def run_test(y, w, z, variant: str = "ols_short", levels=(0.05,),
     t > z_{1-a}.  The chi-square(r_n) rule (reject when the quadratic form
     exceeds its upper quantile) is always computed alongside.  A constant or
     exactly fit response, named ``response`` in the message, raises
-    ``ExactFitError`` (see ``check_not_exact_fit``).
+    ``ExactFitError`` (see ``check_not_exact_fit``); bad ``levels``, a
+    ``ValueError`` before the fit.
     """
+    levels = check_alphas(levels)
     y = np.asarray(y, dtype=float).ravel()
-    w = np.asarray(w, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if z.ndim != 2 or z.shape[1] < 1:
-        raise ValueError("alternative design Z must have at least one column")
-
     fit = ols_fit(w, y)
     check_not_exact_fit(y, fit.rss, response)
-    zt = residualize_block(fit, z)
-    weights = (
-        VarianceWeights.from_true(true_variances)
-        if true_variances is not None
-        else VarianceWeights.from_residuals(fit.residuals)
-    )
-    stat = variant_statistic(variant, fit.residuals, w, z, weights, z_resid=zt)
+    sample = SampleFit(fit, z, w, true_variances)
+    oracle = true_variances is not None
+    stat = sample.statistic(variant, oracle)
 
-    r_n = z.shape[1]
+    m_n, r_n = sample.w.shape[1], sample.z.shape[1]
     t = standardize(stat, r_n)
-    reject_normal = {
-        float(a): bool(t > normal_quantile(1.0 - a)) for a in levels
-    }
     p_chisq, reject_chisq = chisq_rule(stat, r_n, levels)
     return TestResult(
         variant=variant,
@@ -293,10 +311,10 @@ def run_test(y, w, z, variant: str = "ols_short", levels=(0.05,),
         t=t,
         p_normal=normal_sf(t),
         p_chisq=p_chisq,
-        reject_normal=reject_normal,
+        reject_normal=normal_rule(t, levels),
         reject_chisq=reject_chisq,
-        m_n=w.shape[1],
-        k_n=w.shape[1] + r_n,
-        weights_floored=weights.floor_applied,
-        extras={"fit": fit, "z_resid": zt},
+        m_n=m_n,
+        k_n=m_n + r_n,
+        weights_floored=not oracle and bool(sample.floored[1]),
+        sample=sample,
     )

@@ -36,8 +36,8 @@ from .bootstrap import MULTIPLIERS, wild_bootstrap
 from .design import simulation_design
 from .distributions import normal_quantile
 from .errors import SeriesLMError
-from .lmtest import VARIANTS, VarianceWeights, standardize, variant_statistic
-from .regress import ols_fit, residualize_block
+from .lmtest import VARIANTS, SampleFit, check_alphas, normal_rule, standardize
+from .regress import ols_fit
 from .tuning import TuningGrid, data_driven_decisions
 
 __all__ = [
@@ -124,15 +124,6 @@ def gen_sample(spec: DgpSpec, rng: np.random.Generator = None,
     if include_variance:
         return y, x1, x2, sigma2
     return y, x1, x2
-
-
-def check_alphas(levels) -> tuple:
-    """``levels`` as a tuple of distinct floats in first-seen order: at least
-    one, each a test level in (0, 1)."""
-    levels = tuple(levels)
-    if not levels or not all(0.0 < a < 1.0 for a in levels):
-        raise ValueError(f"alpha levels must be numbers in (0, 1), not {list(levels)}")
-    return tuple(dict.fromkeys([float(a) for a in levels]))
 
 
 @dataclass(frozen=True)
@@ -244,35 +235,25 @@ class _CellFailure(SeriesLMError):
 def _fixed_replicate(config: McConfig, family: str, a_n: int, variants: tuple):
     """One replication of a fixed-size cell: (statistic, {alpha: reject}) per variant."""
     alphas = config.alphas
-    z_crit = {a: float(normal_quantile(1.0 - a)) for a in alphas}
 
     def replicate(y, x1, x2, sig2, rep_key):
         pair = simulation_design(x1, x2, a_n, family)
-        fit = ols_fit(pair.w, y)
-        zt = residualize_block(fit, pair.z)
-        weights = {False: VarianceWeights.from_residuals(fit.residuals),
-                   True: VarianceWeights.from_true(sig2)}
-        stats = {}  # (statistic variant, true variances?) -> statistic
+        sample = SampleFit(ols_fit(pair.w, y), pair.z, pair.w, true_variances=sig2)
         outcomes = []
         for name in variants:
             variant, oracle, decision = FIXED_VARIANTS[name]
-            if (variant, oracle) not in stats:
-                stats[variant, oracle] = variant_statistic(
-                    variant, fit.residuals, pair.w, pair.z, weights[oracle],
-                    z_resid=zt)
-            stat = stats[variant, oracle]
-
+            stat = sample.statistic(variant, oracle)
             if decision == "bootstrap":
                 boot_seed = int(np.random.SeedSequence(
                     config.seed, spawn_key=rep_key + (1,)).generate_state(1)[0])
                 boot = wild_bootstrap(
-                    fit, zt, standardize(stat, pair.r_n),
+                    sample.fit, sample.zt, standardize(stat, pair.r_n),
                     n_draws=config.bootstrap_draws, dist=config.bootstrap_dist,
                     seed=boot_seed, levels=alphas)
-                reject = {a: boot.p_value <= a for a in alphas}
+                reject = {a: boot.reject(a) for a in alphas}
             else:
-                t = standardize(stat, pair.k_n if decision == "k_n" else pair.r_n)
-                reject = {a: t > z_crit[a] for a in alphas}
+                reject = normal_rule(
+                    standardize(stat, pair.k_n if decision == "k_n" else pair.r_n), alphas)
             outcomes.append((stat, reject))
         return outcomes
 

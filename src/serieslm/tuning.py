@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .design import SIMULATION_A_MIN, ColumnTable, simulation_design, simulation_spec
-from .lmtest import VarianceWeights, check_not_exact_fit, chisq_rule, lm_statistic
-from .regress import ols_fit, residualize_block
+from .lmtest import SampleFit, check_alphas, check_not_exact_fit, chisq_rule
+from .regress import ols_fit
 
 __all__ = [
     "TuningGrid",
@@ -120,10 +120,8 @@ def _null_fit(y, x1, x2, a: int, family: str, table: ColumnTable) -> tuple:
 
 
 def _row(a: int, fit, z) -> tuple:
-    """(a, m_n, r_n, rss, statistic) of one candidate."""
-    stat = lm_statistic(fit.residuals, residualize_block(fit, z),
-                        VarianceWeights.from_residuals(fit.residuals))
-    return a, fit.n_params, z.shape[1], fit.rss, stat
+    """(a, m_n, r_n, rss, statistic) of one candidate; its Zt dies on return."""
+    return a, fit.n_params, z.shape[1], fit.rss, SampleFit(fit, z).statistic()
 
 
 def data_driven_decisions(y, x1, x2, grid: TuningGrid, family: str = "power",
@@ -181,8 +179,9 @@ def data_driven_test(y, x1, x2, grid: TuningGrid, family: str = "power",
     only ones whose statistic is computed, and the null is rejected when the
     winning statistic exceeds the chi-square(r_min) critical value.  A
     constant response, or one that a tested candidate fits exactly, raises
-    ``ExactFitError`` naming ``response``.
+    ``ExactFitError`` naming ``response``; bad ``levels``, a ``ValueError``.
     """
+    levels = check_alphas(levels)
     y = np.asarray(y, dtype=float).ravel()
     check_not_exact_fit(y, response=response)
     result = data_driven_decisions(y, x1, x2, grid, family=family, levels=levels,

@@ -30,7 +30,7 @@ from serieslm.distributions import (
     normal_quantile,
 )
 from serieslm.lmtest import (
-    VarianceWeights,
+    floored_squares,
     lm_statistic,
     run_test,
 )
@@ -348,8 +348,7 @@ class TestCriterion6Properties:
         y = w @ rng.normal(size=4) + rng.normal(size=90)
         fit = ols_fit(w, y)
         zt = residualize_block(fit, z)
-        quad = lm_statistic(fit.residuals, zt,
-                            VarianceWeights.from_residuals(fit.residuals))
+        quad = lm_statistic(fit.residuals, zt, floored_squares(fit.residuals)[0])
         nr2 = lm_statistic_nr2(fit.residuals, zt)
         ok = abs(quad - nr2) <= 1e-8 * max(1.0, quad)
         check("6 (nR2 identity)", ok, f"|diff|={abs(quad - nr2):.2e}")

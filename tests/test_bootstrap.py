@@ -8,7 +8,7 @@ import pytest
 
 import serieslm.bootstrap as bt
 from serieslm.errors import SingularMomentMatrixError
-from serieslm.lmtest import VarianceWeights, lm_statistic, standardize
+from serieslm.lmtest import floored_squares, lm_statistic, standardize
 from serieslm.regress import annihilate, ols_fit, residualize_block
 
 
@@ -33,8 +33,8 @@ def per_draw_oracle(fit, zt, dist, seed, n_draws):
             np.random.SeedSequence(seed, spawn_key=(b,))))
         resid_star = annihilate(fit, bt.draw_multipliers(dist, fit.n_obs, rng)
                                 * fit.residuals)
-        weights = VarianceWeights.from_residuals(resid_star)
-        floored.append(weights.floor_applied)
+        weights, floor_applied = floored_squares(resid_star)
+        floored.append(floor_applied)
         try:
             stat = lm_statistic(resid_star, zt, weights)
         except SingularMomentMatrixError:
@@ -79,8 +79,7 @@ class TestWildBootstrap:
     def test_degenerate_multiplier_reproduces_observed(self, monkeypatch):
         fit, zt, _, _, _ = make_fit()
         t_obs = standardize(
-            lm_statistic(fit.residuals, zt,
-                         VarianceWeights.from_residuals(fit.residuals)),
+            lm_statistic(fit.residuals, zt, floored_squares(fit.residuals)[0]),
             zt.shape[1])
         monkeypatch.setattr(bt, "draw_multipliers",
                             lambda dist, n, rng: np.ones(n))

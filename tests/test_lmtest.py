@@ -6,21 +6,23 @@ import scipy.linalg
 import scipy.stats
 
 from serieslm.design import simulation_design
-from serieslm import lmtest
+from serieslm import lmtest, tuning
 from serieslm.distributions import chisq_cdf, normal_cdf
 from serieslm.errors import ExactFitError, SingularMomentMatrixError
 from serieslm.mc import DgpSpec, gen_sample
 from serieslm.lmtest import (
     EXACT_FIT_RTOL,
     VARIANTS,
-    VarianceWeights,
+    SampleFit,
     check_not_exact_fit,
+    floored_squares,
     lm_statistic,
     run_test,
     standardize,
     variant_statistic,
 )
 from serieslm.regress import ols_fit, residualize_block
+from serieslm.tuning import TuningGrid, data_driven_test
 
 from oracles import lm_statistic_nr2
 
@@ -50,22 +52,20 @@ class TestLmStatistic:
         u -= basis @ np.linalg.lstsq(basis, u, rcond=None)[0]
         fit = ols_fit(w, w @ np.ones(3) + u)
         zt = residualize_block(fit, z)
-        stat = lm_statistic(fit.residuals, zt,
-                            VarianceWeights.from_true(np.ones(40)))
+        stat = lm_statistic(fit.residuals, zt, np.ones(40))
         assert abs(stat) <= 1e-10
 
     def test_hand_computable(self):
         # identity-like score design with unit weights
         zt = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
         resid = np.array([1.0, 1.0, 1.0])
-        stat = lm_statistic(resid, zt, VarianceWeights.from_true(np.ones(3)))
+        stat = lm_statistic(resid, zt, np.ones(3))
         assert stat == pytest.approx(2.0, abs=1e-12)
 
     def test_dense_oracle(self):
         _, _, _, fit, zt, _ = make_instance(32, 40, 4, 5)
-        weights = VarianceWeights.from_residuals(fit.residuals)
-        oracle = dense_quadform(zt.T @ fit.residuals,
-                                (zt * weights.values[:, None]).T @ zt)
+        weights = floored_squares(fit.residuals)[0]
+        oracle = dense_quadform(zt.T @ fit.residuals, (zt * weights[:, None]).T @ zt)
         stat = lm_statistic(fit.residuals, zt, weights)
         assert stat == pytest.approx(oracle, rel=1e-9)
         assert stat >= 0.0
@@ -75,8 +75,7 @@ class TestLmStatistic:
         zt = rng.normal(size=(30, 2))
         zt = np.column_stack([zt, zt[:, 0]])
         with pytest.raises(SingularMomentMatrixError):
-            lm_statistic(rng.normal(size=30), zt,
-                         VarianceWeights.from_true(np.ones(30)))
+            lm_statistic(rng.normal(size=30), zt, np.ones(30))
 
 
 class TestQuadform:
@@ -113,8 +112,7 @@ class TestRegressionRoute:
     def test_equals_quadratic_form(self):
         for seed, n, r in ((41, 60, 7), (42, 80, 3), (43, 55, 10)):
             _, _, _, fit, zt, _ = make_instance(seed, n, 4, r)
-            a = lm_statistic(fit.residuals, zt,
-                             VarianceWeights.from_residuals(fit.residuals))
+            a = lm_statistic(fit.residuals, zt, floored_squares(fit.residuals)[0])
             b = lm_statistic_nr2(fit.residuals, zt)
             assert abs(a - b) <= 1e-8 * max(1.0, a)
 
@@ -133,23 +131,23 @@ class TestRegressionRoute:
 class TestVariantStatistics:
     def test_long_variance_equals_short_under_constant_weights(self):
         w, z, _, fit, zt, _ = make_instance(51, 70, 5, 6)
-        weights = VarianceWeights.from_true(np.full(70, 2.5))
-        long = variant_statistic("ols_long", fit.residuals, w, z, weights)
-        short = lm_statistic(fit.residuals, zt, weights)
+        sample = SampleFit(fit, z, w, true_variances=np.full(70, 2.5))
+        long = variant_statistic(sample, "ols_long", oracle=True)
+        short = lm_statistic(fit.residuals, zt, np.full(70, 2.5))
         assert long == pytest.approx(short, rel=1e-8)
 
     def test_fgls_short_orthonormal_scores(self):
         w, z, _, fit, zt, _ = make_instance(52, 60, 4, 5)
         q, _ = np.linalg.qr(zt)
-        weights = VarianceWeights.from_true(np.ones(60))
-        stat = variant_statistic("fgls_short", fit.residuals, w, q, weights)
+        sample = SampleFit(fit, q, w, true_variances=np.ones(60))
+        stat = variant_statistic(sample, "fgls_short", oracle=True)
         assert stat == pytest.approx(float(np.sum((q.T @ fit.residuals) ** 2)),
                                      rel=1e-10)
 
     def test_all_variants_match_dense_oracles(self):
         w, z, y, fit, zt, _ = make_instance(53, 80, 5, 6)
-        weights = VarianceWeights.from_residuals(fit.residuals)
-        s = weights.values
+        sample = SampleFit(fit, z, w)
+        s = floored_squares(fit.residuals)[0]
         v = 1.0 / s
         r_ols = fit.residuals
         # independent FGLS residuals straight from the data
@@ -172,14 +170,22 @@ class TestVariantStatistics:
                                          (zt * v[:, None]).T @ zt),
         }
         for name, oracle in oracles.items():
-            stat = variant_statistic(name, fit.residuals, w, z, weights)
+            stat = variant_statistic(sample, name)
             assert stat == pytest.approx(oracle, rel=1e-9), name
+            assert sample.statistic(name) == stat
 
     def test_unknown_variant(self):
         w, z, _, fit, _, _ = make_instance(54, 40, 3, 2)
-        with pytest.raises(ValueError):
-            variant_statistic("nope", fit.residuals, w, z,
-                              VarianceWeights.from_true(np.ones(40)))
+        with pytest.raises(ValueError, match="unknown variant"):
+            variant_statistic(SampleFit(fit, z, w), "nope")
+
+    def test_missing_inputs_are_named(self):
+        w, z, _, fit, _, _ = make_instance(55, 40, 3, 2)
+        with pytest.raises(ValueError, match="needs true_variances"):
+            SampleFit(fit, z, w).statistic("ols_short", oracle=True)
+        for variant in ("ols_long", "fgls_short"):
+            with pytest.raises(ValueError, match=f"the {variant} statistic needs W"):
+                SampleFit(fit, z).statistic(variant)
 
 
 class TestStandardize:
@@ -304,14 +310,40 @@ class TestExactFitGuard:
 
 class TestVarianceWeights:
     def test_flooring_flag(self):
-        resid = np.array([1.0, 0.0, -2.0, 3.0])
-        weights = VarianceWeights.from_residuals(resid)
-        assert weights.floor_applied
-        assert np.all(weights.values > 0.0)
+        weights, floored = floored_squares(np.array([1.0, 0.0, -2.0, 3.0]))
+        assert floored
+        assert np.all(weights > 0.0)
 
     def test_true_weights_must_be_positive(self):
-        with pytest.raises(ValueError):
-            VarianceWeights.from_true([1.0, 0.0, 2.0])
+        w, z, _, fit, _, _ = make_instance(81, 12, 2, 2)
+        with pytest.raises(ValueError, match="positive and finite"):
+            SampleFit(fit, z, w, true_variances=np.r_[1.0, 0.0, np.ones(10)])
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_true_variances_of_the_wrong_length(self, delta):
+        # named where the sample takes them, not as a broadcast error deep in a Gram
+        y, x1, x2 = gen_sample(DgpSpec(300, "null", seed=82))
+        pair = simulation_design(x1, x2, 5)
+        with pytest.raises(ValueError, match=f"true_variances has length {300 + delta}, "
+                                             "but the sample has n = 300"):
+            run_test(y, pair.w, pair.z, true_variances=np.ones(300 + delta))
+
+
+class TestLevelsCheckedFirst:
+    @pytest.mark.parametrize("levels", [(0,), (1.0,), (1.5,), (float("nan"),)])
+    @pytest.mark.parametrize("entry", ["run_test", "data_driven_test"])
+    def test_bad_level_raises_before_any_fit(self, monkeypatch, entry, levels):
+        y, x1, x2 = gen_sample(DgpSpec(200, "null", seed=83))
+        fits = []
+        for module in (lmtest, tuning):
+            monkeypatch.setattr(module, "ols_fit", lambda *a, **k: fits.append(a))
+        with pytest.raises(ValueError, match=r"alpha levels must be numbers in \(0, 1\)"):
+            if entry == "run_test":
+                pair = simulation_design(x1, x2, 4)
+                run_test(y, pair.w, pair.z, levels=levels)
+            else:
+                data_driven_test(y, x1, x2, TuningGrid((4, 5)), levels=levels)
+        assert fits == []
 
 
 class TestMeanIdentity:
@@ -325,11 +357,10 @@ class TestMeanIdentity:
         sigma2 = 0.5 + 2.0 * rng.random(n)
         fit0 = ols_fit(w, np.zeros(n))
         zt = residualize_block(fit0, z)
-        weights = VarianceWeights.from_true(sigma2)
         stats = np.empty(m_draws)
         for b in range(m_draws):
             eps = np.sqrt(sigma2) * rng.standard_normal(n)
             resid = eps - fit0.ortho @ (fit0.ortho.T @ eps)
-            stats[b] = lm_statistic(resid, zt, weights)
+            stats[b] = lm_statistic(resid, zt, sigma2)
         se = stats.std(ddof=1) / np.sqrt(m_draws)
         assert abs(stats.mean() - r) <= 3.0 * se

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from serieslm import _blas, mc
+from serieslm import _blas, lmtest, mc
 from serieslm.design import simulation_design
 from serieslm.lmtest import run_test
 from serieslm.mc import (
@@ -396,6 +396,35 @@ class TestVariantTable:
                                 true_variances=sigma2 if oracle else None)
             got = report.mean_statistic(name, "power", 150, 5, "alternative")
             assert got == expected.statistic, name
+
+    def test_one_fit_and_one_statistic_per_distinct_variant(self, monkeypatch):
+        # five MC names, three distinct (statistic, true variances?) pairs:
+        # ols_short serves ols_short, ols_short_total and wild_bootstrap
+        names = ("ols_short", "ols_short_total", "wild_bootstrap",
+                 "ols_short_oracle", "fgls_long")
+        config = McConfig(replications=1, n_values=(150,), a_values=(5,),
+                          variants=names, alphas=(0.05, 0.5), bootstrap_draws=19)
+        calls = {"fit": [], "statistic": [], "bootstrap": []}
+
+        def counting(key, real):
+            def wrapper(*args, **kwargs):
+                out = real(*args, **kwargs)
+                calls[key].append((args, out))
+                return out
+            return wrapper
+
+        monkeypatch.setattr(mc, "ols_fit", counting("fit", mc.ols_fit))
+        monkeypatch.setattr(lmtest, "variant_statistic",
+                            counting("statistic", lmtest.variant_statistic))
+        monkeypatch.setattr(mc, "wild_bootstrap", counting("bootstrap", mc.wild_bootstrap))
+        sample = gen_sample(DgpSpec(150, "alternative", seed=4), include_variance=True)
+        outcomes = mc._fixed_replicate(config, "power", 5, names)(*sample, (1, 150, 5, 2, 0))
+        assert len(calls["fit"]) == 1
+        assert [args[1:] for args, _ in calls["statistic"]] == [
+            ("ols_short", False), ("ols_short", True), ("fgls_long", False)]
+        assert outcomes[0][0] == outcomes[1][0] == outcomes[2][0]
+        (_, boot), = calls["bootstrap"]
+        assert outcomes[2][1] == {a: boot.reject(a) for a in config.alphas}
 
 
 class TestEmitReport:

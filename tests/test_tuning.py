@@ -4,17 +4,18 @@ import contextlib
 import gc
 import inspect
 import math
+import weakref
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from serieslm import basis, cli, mc, tuning
+from serieslm import basis, cli, lmtest, mc, tuning
 from serieslm.design import simulation_design
 from serieslm.distributions import chisq_quantile
 from serieslm.errors import ExactFitError, RankDeficiencyError, SingularMomentMatrixError
 from serieslm.mc import DgpSpec, McConfig, gen_sample, run_mc
-from serieslm.lmtest import VarianceWeights, lm_statistic, run_test
+from serieslm.lmtest import floored_squares, lm_statistic, run_test
 from serieslm.regress import ols_fit, residualize_block
 from serieslm.tuning import (
     TuningGrid,
@@ -227,7 +228,7 @@ def oracle_decisions(y, x1, x2, grid, family, levels):
         pair = simulation_design(x1, x2, a, family)
         fit = ols_fit(pair.w, y)
         stat = lm_statistic(fit.residuals, residualize_block(fit, pair.z),
-                            VarianceWeights.from_residuals(fit.residuals))
+                            floored_squares(fit.residuals)[0])
         table.append((a, pair.m_n, pair.r_n, fit.rss, stat))
     n = y.size
     s2 = table[-1][3] / (n - table[-1][1])  # Cp's variance from the largest model
@@ -288,13 +289,13 @@ class TestDataDrivenDecisions:
                                                          seed, family, picks):
         # every r_n of the grid is distinct, so the tested r_n name the candidates
         y, x1, x2 = gen_sample(DgpSpec(n, hyp, seed=seed))
-        real, tested = tuning.lm_statistic, []
+        real, tested = lmtest.lm_statistic, []
 
         def counting(residuals, z_resid, weights):
             tested.append(z_resid.shape[1])
             return real(residuals, z_resid, weights)
 
-        monkeypatch.setattr(tuning, "lm_statistic", counting)
+        monkeypatch.setattr(lmtest, "lm_statistic", counting)
         got = data_driven_decisions(y, x1, x2, self.GRID, family=family)
         assert (got["cp"].selected_a, got["gcv"].selected_a) == picks
         first = self.GRID.candidates.index(min(picks))
@@ -343,16 +344,33 @@ class TestDataDrivenDecisions:
             assert sorted(powers) == [("x1", top), ("x2", top)]
             assert sorted(quantiles) == ([] if family == "power" else ["x1", "x2"])
 
+    @pytest.mark.parametrize("family", ["power", "spline"])
+    def test_one_candidate_zt_alive_at_a_time(self, monkeypatch, family):
+        # each candidate's Zt dies once its row is done: holding all of them
+        # raises the page faults and system time of every replication
+        y, x1, x2 = gen_sample(DgpSpec(400, "null", seed=7))
+        real, made = lmtest.residualize_block, []
+
+        def tracking(fit, z):
+            assert all(ref() is None for ref in made), "an earlier Zt is still alive"
+            zt = real(fit, z)
+            made.append(weakref.ref(zt))
+            return zt
+
+        monkeypatch.setattr(lmtest, "residualize_block", tracking)
+        data_driven_decisions(y, x1, x2, TuningGrid(tuple(range(4, 10))), family=family)
+        assert len(made) >= 2
+
     def inject(self, monkeypatch, r_n):
         """lm_statistic raising SingularMomentMatrixError for the candidate with r_n."""
-        real = tuning.lm_statistic
+        real = lmtest.lm_statistic
 
         def failing(residuals, z_resid, weights):
             if z_resid.shape[1] == r_n:
                 raise SingularMomentMatrixError("injected")
             return real(residuals, z_resid, weights)
 
-        monkeypatch.setattr(tuning, "lm_statistic", failing)
+        monkeypatch.setattr(lmtest, "lm_statistic", failing)
 
     def test_failure_below_every_selection_is_ignored(self, monkeypatch):
         # both criteria select a = 7 here, so a = 5 (r_n = 19) is never reached
@@ -389,7 +407,7 @@ class TestDataDrivenDecisions:
         def failing(residuals, z_resid, weights):
             raise RankDeficiencyError("injected", columns=["z1"])
 
-        monkeypatch.setattr(tuning, "lm_statistic", failing)
+        monkeypatch.setattr(lmtest, "lm_statistic", failing)
         with pytest.raises(RankDeficiencyError, match="injected") as info:
             data_driven_decisions(y, x1, x2, self.GRID)
         assert info.value.columns == ["z1"]
@@ -402,7 +420,7 @@ class TestDataDrivenDecisions:
         # only candidates a selection reaches are tested, so the second call
         # is one of them: replication 0's a = 5 if Cp picks a = 4 there, else
         # replication 1's first reached candidate; one replication is dropped
-        real, calls = tuning.lm_statistic, []
+        real, calls = lmtest.lm_statistic, []
 
         def failing_once(*args):
             calls.append(None)
@@ -410,6 +428,6 @@ class TestDataDrivenDecisions:
                 raise SingularMomentMatrixError("injected")
             return real(*args)
 
-        monkeypatch.setattr(tuning, "lm_statistic", failing_once)
+        monkeypatch.setattr(lmtest, "lm_statistic", failing_once)
         monkeypatch.setattr(mc, "MAX_FAILURE_FRAC", 0.5)
         assert run_mc(config).rows[0].m_eff == 2
