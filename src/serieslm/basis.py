@@ -72,6 +72,11 @@ class BasisSpec:
                 )
 
     @property
+    def order(self) -> int:
+        """Highest power: a power basis of size ``a`` is the knot-free spline of order a - 1."""
+        return self.a - 1 if self.family == "power" else self.spline_order
+
+    @property
     def n_knots(self) -> int:
         if self.family == "power":
             return 0
@@ -184,42 +189,46 @@ def spline_basis(v, a: int, s: int = 3, knots=None, name: str = "v") -> tuple:
 
 
 class SeriesColumns:
-    """The basis columns of one variable for any of several BasisSpecs.
+    """The basis columns of one variable on one sample, for any of several BasisSpecs.
 
-    ``specs`` lists every spec whose basis may be asked for; the knots of
-    all their knot counts come from one ``np.quantile`` call, made here.
-    ``terms(spec)`` gives the labels and column keys of one of those specs'
-    bases and runs its knot checks; ``evaluate(keys)`` computes distinct
+    ``counts`` lists the knot count of every spec whose basis may be asked
+    for; the knots of all of them come from one ``np.quantile`` call, made
+    here, and ``placed`` maps each count to its knots, unchecked.
+    ``knots(q)`` checks a count's knots, ``terms(spec)`` gives the labels and
+    column keys of one spec's basis, and ``evaluate(keys)`` computes distinct
     keys, each once.  A key is ``j`` for the power v^j and ``(s, t)`` for the
     knot column (v - t)_+^s.
     """
 
-    def __init__(self, v, specs, name: str = "v"):
+    def __init__(self, v, counts, name: str = "v"):
         self.v = _as_vector(v)
         self.name = name
-        counts = {spec.n_knots for spec in specs} - {0}
-        self._knots = _place_knots(self.v, counts) if counts else {}
+        counts = set(counts) - {0}
+        self.placed = _place_knots(self.v, counts) if counts else {}
         self._max = float(np.max(self.v))
 
-    def terms(self, spec: BasisSpec) -> tuple:
-        """``(labels, keys)`` of ``spec``'s basis, its knots placed from the sample.
+    def knots(self, q: int) -> list:
+        """The ``q`` knots of the sample, placed at the levels k / (q + 1).
 
-        A power basis is the knot-free spline of order ``a - 1``.  Quantile
-        knots that coincide (tied data, a constant sample) or reach the sample
-        maximum would give repeated or all-zero columns, so they are a
-        DesignError naming the variable.
+        Quantile knots that coincide (tied data, a constant sample) or reach
+        the sample maximum would give repeated or all-zero columns, so they
+        are a DesignError naming the variable.
         """
-        s, q = (spec.a - 1, 0) if spec.family == "power" else (spec.spline_order,
-                                                               spec.n_knots)
-        knots = []
-        if q:
-            if self.v.size <= q:
-                raise ValueError(f"need more than {q} observations to place {q} knots")
-            knots = self._knots[q]
-            if knots[-1] >= self._max or any(b <= a for a, b in zip(knots, knots[1:])):
-                raise DesignError(
-                    f"variable {self.name!r} has {np.unique(self.v).size} distinct values, "
-                    f"too few for {q} distinct spline knots below its maximum")
+        if not q:
+            return []
+        if self.v.size <= q:
+            raise ValueError(f"need more than {q} observations to place {q} knots")
+        knots = self.placed[q]
+        if knots[-1] >= self._max or any(b <= a for a, b in zip(knots, knots[1:])):
+            raise DesignError(
+                f"variable {self.name!r} has {np.unique(self.v).size} distinct values, "
+                f"too few for {q} distinct spline knots below its maximum")
+        return knots
+
+    def terms(self, spec: BasisSpec) -> tuple:
+        """``(labels, keys)`` of ``spec``'s basis, its knots placed and checked by ``knots``."""
+        s = spec.order
+        knots = self.knots(spec.n_knots)
         powers = list(range(1, s + 1))
         return ([_power_label(self.name, j) for j in powers]
                 + [_knot_label(self.name, t) for t in knots],
@@ -252,10 +261,10 @@ def build_basis(v, spec: BasisSpec, name: str = "v") -> tuple:
 
     The checks and labels are those of ``SeriesColumns.terms``.
     """
-    series = SeriesColumns(v, (spec,), name)
-    labels, keys = series.terms(spec)
-    s = spec.a - 1 if spec.family == "power" else spec.spline_order
-    return spline_basis(series.v, spec.a, s, [t for _, t in keys[s:]], name=name)
+    series = SeriesColumns(v, (spec.n_knots,), name)
+    _, keys = series.terms(spec)
+    return spline_basis(series.v, spec.a, spec.order, [t for _, t in keys[spec.order:]],
+                        name=name)
 
 
 def restricted_interaction_order(a: int) -> int:

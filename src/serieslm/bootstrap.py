@@ -11,9 +11,10 @@ statistic.  Draw b uses the substream
 so results are reproducible independently of how draws are partitioned.
 
 The draws run in blocks of ``_BLOCK``.  A block's synthetic errors are
-annihilated as one n x block matrix, its scores Zt'e* come from one product,
-and the squared residuals S are floored per column.  The upper triangles of
-all the block's inner matrices Zt' diag(s_b) Zt are the rows of K' S, where
+annihilated in place as one n x block matrix, its scores Zt'e* come from one
+product, and the squared residuals S are floored per column into the same
+matrix.  The upper triangles of all the block's inner matrices
+Zt' diag(s_b) Zt are the rows of K' S, where
 K is the Khatri-Rao (column-wise Kronecker) product of Zt with itself
 restricted to i <= j: column (i, j) of K is zt_i * zt_j.  K' is built a
 panel of rows at a time, and each panel is one well-shaped product with all
@@ -47,8 +48,8 @@ MAX_FAILURE_FRAC = 0.01
 
 # Draws per block, and entries of one panel of Khatri-Rao rows (2 MiB).  A
 # block holds 8 n + 4 r (r + 1) bytes per draw (its weights and packed
-# triangles) besides one panel and Zt' itself: one call at n = 1250, r = 89
-# peaks at 7.4 MB.
+# triangles) besides one panel and Zt' itself: one call at r = 89 peaks at
+# 7.4 MB at n = 1250, and at 13.0 MB at n = 5000, B = 399.
 _BLOCK = 100
 _PANEL_SIZE = 1 << 18
 
@@ -131,10 +132,9 @@ def _block_statistics(fit: FitResult, zt_rows: np.ndarray, dist: str, seed: int,
             seed, spawn_key=(b,))))
         e[:, j] = draw_multipliers(dist, n, rng)
     e *= fit.residuals[:, None]
-    e = annihilate(fit, e)
+    annihilate(fit, e, out=e)
     u = zt_rows @ e
-    s = floored_squares(e)[0]
-    del e
+    s = floored_squares(e, out=e)[0]
     upper = np.triu_indices(r_n)
     packed = _packed_grams(zt_rows, s)
     inner = np.zeros((r_n, r_n))

@@ -10,13 +10,16 @@ W is duplicated in Z, and ``screen_collinear`` removes Z columns that are
 numerically inside the span of what came before them.
 
 Every design is a gather from a ``ColumnTable``: the columns that a set of
-specs needs on one sample, each computed once into one array.  A lone build
-is a table of one spec; the data-driven test plans one table for all its
-grid candidates.
+specs needs on one sample, each computed once into one array.  What depends
+only on the specs is planned once per tuple of specs for the process; each
+sample fills it.  A lone build is a table of one spec; the data-driven test
+fills one table for all its grid candidates.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
 import math
 import re
 from dataclasses import dataclass, field, replace
@@ -24,7 +27,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .basis import BasisSpec, SeriesColumns, _power_label, restricted_interaction_order
+from .basis import (BasisSpec, SeriesColumns, _knot_label, _power_label,
+                    restricted_interaction_order)
 from .errors import DesignError, SeriesLMError
 from .regress import ols_fit
 
@@ -253,173 +257,335 @@ def _restricted(bspec: BasisSpec) -> BasisSpec:
     return replace(bspec, a=restricted_interaction_order(bspec.a))
 
 
+def _first_repeat(labels):
+    """The first label that occurs earlier in ``labels``, or None."""
+    seen = set()
+    for label in labels:
+        if label in seen:
+            return label
+        seen.add(label)
+    return None
+
+
+def _label_rule(w_labels, extra, label_of) -> tuple:
+    """(ids, labels) of the Z columns kept: each of the ``extra`` ids whose label
+    is neither in W nor taken by an earlier kept column."""
+    seen, ids, labels = set(w_labels), [], []
+    for i in extra:
+        label = label_of(i)
+        if label not in seen:
+            seen.add(label)
+            ids.append(i)
+            labels.append(label)
+    return ids, tuple(labels)
+
+
+@dataclass(frozen=True, eq=False)
+class _SpecPlan:
+    """One spec's part of a ``_Layout``.
+
+    ``steps`` are the data checks of a lone build, in its order: ``("vector",
+    var)`` reads a variable, ``("basis", var)`` also needs it nonempty,
+    ``("knots", var, q)`` places and checks q knots, ``("labels",)`` looks for
+    a repeated W label once knot labels are rendered, and ``("raise", type,
+    args)`` is an error that no data can avoid.  ``w`` and ``extra`` are
+    column ids of W and of the alternative columns before the label rule;
+    ``labels`` is ``(z ids, W labels, Z labels)`` when every label is known
+    without data, else None and ``templated`` lists, in id order, the ids
+    whose labels the sample's knots render.  ``cols`` is every column id a
+    design needs.
+    """
+
+    steps: tuple
+    w: np.ndarray
+    extra: tuple = ()
+    labels: tuple = None
+    templated: tuple = ()
+    cols: frozenset = frozenset()
+
+
+class _Layout:
+    """The data-free part of a ``ColumnTable``, planned once per tuple of specs.
+
+    A column id stands for the constant (id 0), a power v^j of a variable (a
+    linear regressor is its first power), a knot column (v - t)_+^s at a
+    quantile level of the variable, a custom term, or a product of two series
+    columns.  Its label is a string, or a template rendered from the sample's
+    knots: ``("tp", var, level)`` for a knot column, ``("*", id1, id2)`` for
+    a product with one.
+    """
+
+    def __init__(self, specs: tuple):
+        self.specs = specs
+        self.keys, self.labels, self._ids = [None], ["const"], {None: 0}
+        self.counts = {}  # variable -> knot counts of its bases, for one quantile call
+        self.levels = {}  # (variable, level) -> (count q, position k) of its knot
+        self.plans = [self._plan(spec) for spec in specs]
+        self._fills = {}
+
+    def _id(self, key, label) -> int:
+        if key not in self._ids:
+            self._ids[key] = len(self.keys)
+            self.keys.append(key)
+            self.labels.append(label)
+        return self._ids[key]
+
+    def _basis(self, steps: list, var: str, bspec=None) -> list:
+        """Ids of a series basis of ``var``, or of ``var`` itself without one."""
+        steps.append(("basis", var))
+        counts = self.counts.setdefault(var, set())
+        if bspec is None:
+            return [self._id(("pow", var, 1), var)]
+        s, q = bspec.order, bspec.n_knots
+        ids = [self._id(("pow", var, j), _power_label(var, j)) for j in range(1, s + 1)]
+        if q:
+            steps.append(("knots", var, q))
+            counts.add(q)
+            for k in range(1, q + 1):
+                level = k / (q + 1.0)
+                self.levels.setdefault((var, level), (q, k))
+                ids.append(self._id(("knot", var, s, level), ("tp", var, level)))
+        return ids
+
+    def _product(self, i1: int, i2: int) -> int:
+        l1, l2 = self.labels[i1], self.labels[i2]
+        label = ("*", i1, i2)
+        if isinstance(l1, str) and isinstance(l2, str):
+            label = "*".join(sorted((l1, l2)))
+        return self._id(("prod", min(i1, i2), max(i1, i2)), label)
+
+    def _plan(self, spec: ModelSpec) -> _SpecPlan:
+        steps, w = [], []
+        try:
+            steps.append(("vector", spec.variables[0]))
+            null = [[0], *(self._basis(steps, var) for var in spec.linear_vars),
+                    *(self._basis(steps, var, bspec) for var, bspec in spec.series_vars)]
+            w = [i for ids in null for i in ids]
+            if all(isinstance(self.labels[i], str) for i in w):
+                label = _first_repeat([self.labels[i] for i in w])
+                if label is not None:
+                    raise DesignError(f"duplicate column {label!r} in null design")
+            else:
+                steps.append(("labels",))
+
+            alt = spec.alternative
+            if alt.recipe == "custom":
+                terms = [parse_term(term) for term in alt.custom_terms]
+                steps += [("vector", var) for term in terms for var, _ in term]
+                extra = [self._id(("term", term), _term_label(term)) for term in terms]
+            else:
+                extra = [i for var, bspec in alt.basis for i in self._basis(steps, var, bspec)]
+            inter = []
+            if alt.recipe.endswith("_tensor"):
+                # each basis is resized and checked in turn, partner or not
+                for var, bspec in alt.basis:
+                    inter.append(self._basis(steps, var, _restricted(bspec)
+                                             if alt.recipe == "restricted_tensor" else bspec))
+            for ids1, ids2 in combinations(inter, 2):
+                extra += [self._product(i1, i2) for i1 in ids1 for i2 in ids2]
+        except (SeriesLMError, ValueError) as exc:
+            steps.append(("raise", type(exc), exc.args))
+            return _SpecPlan(tuple(dict.fromkeys(steps)), np.array(w, dtype=np.intp))
+
+        labels, kept = None, extra
+        if all(isinstance(self.labels[i], str) for i in extra) and ("labels",) not in steps:
+            w_labels = tuple([self.labels[i] for i in w])
+            z, z_labels = _label_rule(w_labels, extra, self.labels.__getitem__)
+            labels, kept = (np.array(z, dtype=np.intp), w_labels, z_labels), z
+        cols = {*w, *kept}
+        cols.update(i for key in [self.keys[i] for i in kept] if key[0] == "prod"
+                    for i in key[1:])
+        templated = tuple(sorted(i for i in cols if not isinstance(self.labels[i], str)))
+        return _SpecPlan(tuple(dict.fromkeys(steps)), np.array(w, dtype=np.intp),
+                         tuple(extra), labels, templated, frozenset(cols))
+
+    def fill(self, ok: tuple) -> tuple:
+        """(series, terms, products) to compute for the designs of the specs at ``ok``.
+
+        ``series`` is ``(var, ids)`` per variable, ``terms`` is ``(id,
+        factors)`` per custom term and ``products`` is ``(id, factor id,
+        factor id)`` per product, all in id order.
+        """
+        if ok not in self._fills:
+            cols = sorted(frozenset().union(*[self.plans[i].cols for i in ok]) - {0})
+            series, terms, products = {}, [], []
+            for i in cols:
+                key = self.keys[i]
+                if key[0] in ("pow", "knot"):
+                    series.setdefault(key[1], []).append(i)
+                elif key[0] == "term":
+                    terms.append((i, key[1]))
+                else:
+                    products.append((i, *key[1:]))
+            self._fills[ok] = (list(series.items()), terms, products)
+        return self._fills[ok]
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(specs: tuple) -> _Layout:
+    return _Layout(specs)
+
+
 class ColumnTable:
     """Every column that a set of model specs needs on one sample, each computed once.
 
-    ``data`` maps variable names to equal-length numeric vectors.  The table
-    plans each spec in turn, in the order and with the checks of a lone
-    ``build_partially_linear``.  Each distinct column gets one id: the
-    constant, a column of one variable's ``SeriesColumns`` (a linear
-    regressor is its first power), a custom term, or a product of two series
-    columns.  The table then computes each id once into one C-ordered n x K
-    ``array``, and ``design`` gathers a spec's W and Z from it with one
-    ``take`` apiece, so they come out C-ordered.  A spec whose plan fails
-    keeps its error, which ``design`` raises for that spec alone, so designs
-    asked for in turn fail where lone builds would.
+    ``data`` maps variable names to equal-length numeric vectors.  What
+    depends only on the specs (column ids, gather indices, label templates
+    and the label rule) is a ``_Layout``, planned once per tuple of specs for
+    the process.  The table fills it on the sample: it runs each spec's data
+    checks in the order of a lone ``build_partially_linear``, renders knot
+    labels from the sample's knots, and computes each column id the passing
+    specs need once into one C-ordered n x K ``array``.  ``design`` gathers
+    a spec's W and Z from it with one ``take`` apiece, so they come out
+    C-ordered.  A spec that fails keeps its error, which ``design`` raises
+    for that spec alone, so designs asked for in turn fail where lone builds
+    would.  The specs of one table read their variables at one length.
     """
 
     def __init__(self, data, specs):
         self._data = data
-        self._specs = list(specs)
-        self._n, self._vectors, self._series, self._sources = None, {}, {}, {}
-        # column ids: 0 is the constant; then (variable, key) of a series
-        # column, the factors of a custom term, or the ids of a product's factors
-        self._series_ids, self._term_ids, self._product_ids = {}, {}, {}
-        self._count = 1
-        self._wanted = {}  # variable -> every BasisSpec a spec may ask of it
-        for spec in self._specs:
-            alt = spec.alternative
-            for var, bspec in (*spec.series_vars, *alt.basis):
-                self._wanted.setdefault(var, []).append(bspec)
-            for var, bspec in alt.basis if alt.recipe == "restricted_tensor" else ():
-                try:
-                    self._wanted[var].append(_restricted(bspec))
-                except ValueError:
-                    pass  # too small for its spline order: the spec's plan raises it
-        plans = []
-        for spec in self._specs:
-            try:
-                plans.append(self._plan(spec))
-            except (SeriesLMError, ValueError) as exc:
-                plans.append(exc)
-        at = self._fill()
-        self._plans = [plan if isinstance(plan, Exception)
-                       else (at[plan[0]], at[plan[1]], *plan[2:]) for plan in plans]
+        self._layout = layout = _layout(tuple(specs))
+        self._vectors, self._series, self._knots = {}, {}, {}
+        self._labels = list(layout.labels)  # id -> label, templates rendered on first use
+        outcomes = self._outcomes = [self._check(plan) for plan in layout.plans]
+        ok = [i for i, outcome in enumerate(outcomes) if not isinstance(outcome, Exception)]
+        n = outcomes[ok[0]][0] if ok else 0
+        for i in ok:
+            if outcomes[i][0] != n:
+                outcomes[i] = DesignError(
+                    f"variable {layout.plans[i].steps[0][1]!r} has inconsistent length")
+        ok = [i for i in ok if not isinstance(outcomes[i], Exception)]
+        self._fill(layout.fill(tuple(ok)), n)
 
     def design(self, spec: ModelSpec) -> DesignPair:
-        plan = self._plans[self._specs.index(spec)]
-        if isinstance(plan, Exception):
-            raise plan
-        w_at, z_at, w_labels, z_labels = plan
-        return DesignPair(self.array.take(w_at, 1), self.array.take(z_at, 1),
+        i = self._layout.specs.index(spec)
+        outcome = self._outcomes[i]
+        if isinstance(outcome, Exception):
+            # a copy: raising the stored error would tie its traceback, and
+            # with it this table, into a reference cycle
+            raise copy.copy(outcome)
+        _, z, w_labels, z_labels = outcome
+        return DesignPair(self._gather(self._layout.plans[i].w), self._gather(z),
                           w_labels, z_labels)
 
-    def _id(self, ids: dict, key) -> int:
-        """The column id of ``key`` in ``ids``, a new one the first time."""
-        if key not in ids:
-            ids[key] = self._count
-            self._count += 1
-        return ids[key]
+    def _gather(self, ids: np.ndarray) -> np.ndarray:
+        return self.array.take(self._at[ids], 1, mode="clip")  # every id is in range
 
-    def _vector(self, var: str) -> np.ndarray:
+    def _vector(self, var: str):
+        """The sample's values of ``var``, or the error reading them raises."""
         if var not in self._vectors:
             try:
                 arr = np.asarray(self._data[var], dtype=float).ravel()
             except KeyError:
-                raise DesignError(f"variable {var!r} not found in data") from None
-            if not np.all(np.isfinite(arr)):
-                raise DesignError(f"variable {var!r} contains non-finite values")
-            if self._n is None:
-                self._n = arr.shape[0]
-            elif arr.shape[0] != self._n:
-                raise DesignError(f"variable {var!r} has inconsistent length")
+                arr = DesignError(f"variable {var!r} not found in data")
+            else:
+                if not np.all(np.isfinite(arr)):
+                    arr = DesignError(f"variable {var!r} contains non-finite values")
             self._vectors[var] = arr
         return self._vectors[var]
 
-    def _basis(self, var: str, bspec=None) -> tuple:
-        """(labels, ids) of a series basis of ``var``, or of ``var`` itself without one."""
-        if (var, bspec) not in self._sources:
-            if var not in self._series:
-                self._series[var] = SeriesColumns(self._vector(var),
-                                                  self._wanted.get(var, ()), var)
-            labels, keys = ([var], [1]) if bspec is None else self._series[var].terms(bspec)
-            self._sources[var, bspec] = labels, [self._id(self._series_ids, (var, key))
-                                                 for key in keys]
-        return self._sources[var, bspec]
+    def _series_of(self, var: str) -> SeriesColumns:
+        if var not in self._series:
+            self._series[var] = SeriesColumns(self._vectors[var], self._layout.counts[var],
+                                              var)
+        return self._series[var]
 
-    def _products(self, basis1, basis2) -> tuple:
-        """(labels, ids) of the products of two bases' columns."""
-        if (basis1, basis2) not in self._sources:
-            (labels1, ids1), (labels2, ids2) = self._basis(*basis1), self._basis(*basis2)
-            self._sources[basis1, basis2] = (
-                ["*".join(sorted((l1, l2))) for l1 in labels1 for l2 in labels2],
-                [self._id(self._product_ids, (i1, i2)) for i1 in ids1 for i2 in ids2])
-        return self._sources[basis1, basis2]
+    def _knot_check(self, var: str, q: int):
+        if (var, q) not in self._knots:
+            try:
+                self._series_of(var).knots(q)
+                self._knots[var, q] = None
+            except (SeriesLMError, ValueError) as exc:
+                self._knots[var, q] = exc.with_traceback(None)  # its frames hold this table
+        return self._knots[var, q]
 
-    def _plan(self, spec: ModelSpec) -> tuple:
-        """(W ids, Z ids, W labels, Z labels) of one spec, with its checks."""
-        self._vector(spec.variables[0])
-        null = [(["const"], [0]), *(self._basis(var) for var in spec.linear_vars),
-                *(self._basis(var, bspec) for var, bspec in spec.series_vars)]
-        w_labels = [label for labels, _ in null for label in labels]
-        seen = set(w_labels)
-        if len(seen) < len(w_labels):
-            label = next(label for i, label in enumerate(w_labels) if label in w_labels[:i])
-            raise DesignError(f"duplicate column {label!r} in null design")
+    def _render(self, ids):
+        """Render the knot and product labels among ``ids``, factors before products."""
+        labels = self._labels
+        for i in ids:
+            label = labels[i]
+            if isinstance(label, str):
+                continue
+            if label[0] == "tp":
+                q, k = self._layout.levels[label[1:]]
+                labels[i] = _knot_label(label[1], self._series[label[1]].placed[q][k - 1])
+            else:
+                labels[i] = "*".join(sorted((labels[label[1]], labels[label[2]])))
 
-        alt = spec.alternative
-        if alt.recipe == "custom":
-            terms = [parse_term(term) for term in alt.custom_terms]
-            for term in terms:
-                for var, _ in term:
-                    self._vector(var)
-            extra = [([_term_label(t) for t in terms],
-                      [self._id(self._term_ids, t) for t in terms])]
+    def _check(self, plan: _SpecPlan):
+        """(n, z ids, W labels, Z labels) of one spec, or the error a lone build raises."""
+        n = None
+        for kind, *args in plan.steps:
+            if kind == "raise":
+                return args[0](*args[1])
+            if kind == "labels":
+                self._render(plan.w)
+                label = _first_repeat([self._labels[i] for i in plan.w])
+                if label is not None:
+                    return DesignError(f"duplicate column {label!r} in null design")
+                continue
+            var = args[0]
+            arr = self._vector(var)
+            if isinstance(arr, Exception):
+                return arr
+            if n is None:
+                n = arr.shape[0]
+            elif arr.shape[0] != n:
+                return DesignError(f"variable {var!r} has inconsistent length")
+            if kind == "basis" and not n:
+                return ValueError("input must contain at least one observation")
+            if kind == "knots" and self._knot_check(var, args[1]):
+                return self._knots[var, args[1]]
+        if plan.labels is None:
+            self._render(plan.templated)
+            w_labels = tuple([self._labels[i] for i in plan.w])
+            z, z_labels = _label_rule(w_labels, plan.extra, self._labels.__getitem__)
+            z = np.array(z, dtype=np.intp)
         else:
-            extra = [self._basis(var, bspec) for var, bspec in alt.basis]
-        inter = []
-        if alt.recipe.endswith("_tensor"):
-            # each basis is resized and checked in turn, partner or not
-            for var, bspec in alt.basis:
-                inter.append((var, _restricted(bspec) if alt.recipe == "restricted_tensor"
-                              else bspec))
-                self._basis(*inter[-1])
-        extra += [self._products(*pair) for pair in combinations(inter, 2)]
-
-        # a Z label already in W or earlier in Z is dropped, with its column
-        z_labels, z_ids = [], []
-        for labels, ids in extra:
-            for label, i in zip(labels, ids):
-                if label not in seen:
-                    seen.add(label)
-                    z_labels.append(label)
-                    z_ids.append(i)
+            z, w_labels, z_labels = plan.labels
         k_n = len(w_labels) + len(z_labels)
-        if self._n <= k_n:
-            raise DesignError(f"need n > k_n (got n={self._n}, k_n={k_n})")
-        return ([i for _, ids in null for i in ids], z_ids, tuple(w_labels),
-                tuple(z_labels))
+        if n <= k_n:
+            return DesignError(f"need n > k_n (got n={n}, k_n={k_n})")
+        return n, z, w_labels, z_labels
 
-    def _fill(self) -> np.ndarray:
-        """Compute every column id into ``self.array``; returns id -> table column.
+    def _fill(self, fill: tuple, n: int):
+        """Compute the columns of ``fill`` into ``self.array``; ``self._at`` maps ids to columns.
 
-        Values are computed a row per column, in blocks, and written into the
-        table transposed; the products are one block.
+        The columns are computed as the rows of a K x n array, which is
+        transposed into the table once.  Each variable's powers and knot
+        columns are one ``SeriesColumns`` evaluation; each product is one
+        elementwise product of two rows, written in place.
         """
-        series = {}
-        for (var, key), i in self._series_ids.items():
-            series.setdefault(var, {})[key] = i
-        table = self.array = np.empty((self._n or 0, self._count))
-        at = np.empty(self._count, dtype=np.intp)  # id -> table column
-        rows = {}  # series id -> its row of values
-        table[:, 0], at[0] = 1.0, 0
+        series, terms, products = fill
+        blocks = []
+        for var, ids in series:
+            source = self._series_of(var)
+            keys = []
+            for i in ids:
+                key = self._layout.keys[i]
+                if key[0] == "pow":
+                    keys.append(key[2])
+                else:
+                    q, k = self._layout.levels[var, key[3]]
+                    keys.append((key[2], source.placed[q][k - 1]))
+            blocks.append((ids, keys, *source.evaluate(keys)))
+        width = 1 + sum(len(order) for *_, order, _ in blocks) + len(terms)
+        rows = np.empty((width + len(products), n))
+        at = self._at = np.zeros(len(self._layout.keys), dtype=np.intp)
+        rows[0] = 1.0
         j = 1
-        for var, ids in series.items():
-            order, values = self._series[var].evaluate(ids)
-            order = [ids[key] for key in order]
-            rows.update(zip(order, values))
-            table[:, j:j + len(order)] = values.T
-            at[order] = range(j, j + len(order))
+        for ids, keys, order, block in blocks:
+            rows[j:j + len(order)] = block
+            row = {key: j + c for c, key in enumerate(order)}
+            at[ids] = [row[key] for key in keys]
             j += len(order)
-        for term, i in self._term_ids.items():
-            table[:, j] = math.prod(self._vectors[v] ** p for v, p in term)
+        for i, term in terms:
+            rows[j] = math.prod(self._vectors[v] ** p for v, p in term)
             at[i], j = j, j + 1
-        if self._product_ids:
-            factors = list(self._product_ids)
-            table[:, j:] = (np.array([rows[i1] for i1, _ in factors])
-                            * np.array([rows[i2] for _, i2 in factors])).T
-            at[list(self._product_ids.values())] = range(j, self._count)
-        return at
+        for i, first, second in products:
+            np.multiply(rows[at[first]], rows[at[second]], out=rows[j])
+            at[i], j = j, j + 1
+        self.array = np.ascontiguousarray(rows.T)
 
 
 def build_partially_linear(data, spec: ModelSpec, table=None) -> DesignPair:
@@ -436,6 +602,7 @@ def build_partially_linear(data, spec: ModelSpec, table=None) -> DesignPair:
     return (ColumnTable(data, (spec,)) if table is None else table).design(spec)
 
 
+@functools.lru_cache(maxsize=128)
 def simulation_spec(a_n: int, family: str = "power") -> ModelSpec:
     """The spec of ``simulation_design`` over the variables x1 and x2."""
     if a_n < SIMULATION_A_MIN:

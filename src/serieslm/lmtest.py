@@ -62,16 +62,18 @@ RESIDUAL_FLOOR_REL = 1e-12
 EXACT_FIT_RTOL = float(np.finfo(float).eps)
 
 
-def floored_squares(residuals: np.ndarray) -> tuple:
+def floored_squares(residuals: np.ndarray, out=None) -> tuple:
     """Squared residuals floored at ``RESIDUAL_FLOOR_REL`` times their mean, per column.
 
     Works along axis 0, so a matrix holds one residual vector per column.
-    Returns the floored squares and, per column, whether any was floored.
+    Returns the floored squares, written into ``out`` if given (it may be
+    ``residuals`` itself), and, per column, whether any was floored.
     """
-    r2 = np.square(residuals)
+    r2 = np.square(residuals, out=out)
     floor = RESIDUAL_FLOOR_REL * r2.mean(axis=0)
     needs = r2 < floor
-    return np.where(needs, floor, r2), needs.any(axis=0)
+    np.copyto(r2, floor, where=needs)
+    return r2, needs.any(axis=0)
 
 
 def _weighted_gram(a: np.ndarray, s: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -80,7 +82,8 @@ def _weighted_gram(a: np.ndarray, s: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 # LAPACK called directly: at the sizes here scipy.linalg's input validation
 # costs more than the factorization itself
-_POTRF, _TRTRS = scipy.linalg.get_lapack_funcs(("potrf", "trtrs"), dtype=np.float64)
+_POTRF, _POTRS, _TRTRS = scipy.linalg.get_lapack_funcs(("potrf", "potrs", "trtrs"),
+                                                       dtype=np.float64)
 
 
 def _require_finite(a: np.ndarray):
@@ -98,6 +101,12 @@ def _chol(mat: np.ndarray, what: str) -> np.ndarray:
             "collinear or carries too many terms for this sample"
         )
     return factor
+
+
+def _cho_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A^{-1} b from the lower Cholesky factor of A, as scipy.linalg.cho_solve gives it."""
+    _require_finite(b)
+    return _POTRS(factor, b, lower=True)[0]
 
 
 def _quadform(inner: np.ndarray, u: np.ndarray, what: str) -> float:
@@ -197,13 +206,13 @@ def variant_statistic(sample: SampleFit, variant: str, oracle: bool = False) -> 
     e = r
     if fgls:
         # rv from the OLS residuals: the fitted part of Y drops out of the refit
-        e = omega * (r - w @ scipy.linalg.cho_solve((lc, True), w.T @ (omega * r)))
+        e = omega * (r - w @ _cho_solve(lc, w.T @ (omega * r)))
 
     if block == "short":
         return lm_statistic(e, sample.zt, omega)
 
     b = _weighted_gram(w, omega, z)
-    inner = _weighted_gram(z, omega, z) - b.T @ scipy.linalg.cho_solve((lc, True), b)
+    inner = _weighted_gram(z, omega, z) - b.T @ _cho_solve(lc, b)
     return _quadform(0.5 * (inner + inner.T), z.T @ e, "long variance matrix")
 
 

@@ -5,11 +5,18 @@ factor is then reused to apply the annihilator M = I - W(W'W)^{-1}W' to
 arbitrary vectors or matrices without ever forming the n-by-n projector.
 Power-series designs are ill conditioned, so everything goes through the
 orthogonal factorization rather than the normal equations.
+
+The factorization calls LAPACK's ``geqp3`` and ``orgqr`` directly, with the
+workspace sizes ``scipy.linalg.qr`` would query, so Q, R and the pivots are
+bitwise those of ``scipy.linalg.qr(w, mode="economic", pivoting=True)``: at
+the sizes of one Monte Carlo replication that wrapper's validation costs more
+than the factorization itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -21,6 +28,18 @@ __all__ = ["FitResult", "ols_fit", "annihilate", "residualize_block"]
 # Relative pivot threshold below which a design counts as rank deficient.
 RANK_RTOL = 1e-12
 
+_GEQP3, _ORGQR, _TRTRS = scipy.linalg.get_lapack_funcs(("geqp3", "orgqr", "trtrs"),
+                                                       dtype=np.float64)
+
+
+@functools.lru_cache(maxsize=256)
+def _workspace(n: int, m: int) -> tuple:
+    """(geqp3, orgqr) workspace sizes of an n x m factorization, queried as scipy does."""
+    probe = np.empty((n, m), order="F")
+    qp3 = _GEQP3(probe, lwork=-1, overwrite_a=1)[-2]
+    gqr = _ORGQR(probe, np.empty(m), lwork=-1, overwrite_a=1)[-2]
+    return int(qp3[0].real), int(gqr[0].real)
+
 
 @dataclass(frozen=True)
 class FitResult:
@@ -28,20 +47,31 @@ class FitResult:
 
     Attributes
     ----------
-    beta : ndarray, shape (m,)
-        Coefficients in the original column order of W.
     residuals : ndarray, shape (n,)
         Y minus its orthogonal projection onto the column span of W.
     ortho : ndarray, shape (n, m)
         Orthonormal columns spanning col(W); applying the annihilator is
         ``u - ortho @ (ortho.T @ u)``.
+    beta : ndarray, shape (m,)
+        Coefficients in the original column order of W, solved on first use.
     rss : float
         Residual sum of squares.
     """
 
-    beta: np.ndarray
     residuals: np.ndarray
     ortho: np.ndarray
+    # the triangular factor, its column order and Q'y, kept for ``beta``
+    r: np.ndarray = field(repr=False)
+    piv: np.ndarray = field(repr=False)
+    qty: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def beta(self) -> np.ndarray:
+        beta = np.empty(self.n_params)
+        # R is C-ordered, so solved as scipy.linalg.solve_triangular solves it:
+        # the transposed lower system, read without a copy
+        beta[self.piv] = _TRTRS(self.r.T, self.qty, lower=1, trans=1)[0]
+        return beta
 
     @property
     def n_obs(self) -> int:
@@ -78,7 +108,12 @@ def ols_fit(w, y, column_labels=None) -> FitResult:
     if not (np.all(np.isfinite(w)) and np.all(np.isfinite(y))):
         raise ValueError("non-finite values in regression inputs")
 
-    q, r, piv = scipy.linalg.qr(w, mode="economic", pivoting=True)
+    lwork_qp3, lwork_gqr = _workspace(n, m)
+    qr, piv, tau, _, info = _GEQP3(w, lwork=lwork_qp3)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of geqp3")
+    piv -= 1  # geqp3 numbers columns from 1
+    r = qr[:m].copy()
     diag = np.abs(np.diag(r))
     if diag[0] == 0.0 or np.any(diag < RANK_RTOL * diag[0]):
         bad = np.where(diag < RANK_RTOL * max(diag[0], np.finfo(float).tiny))[0]
@@ -93,19 +128,24 @@ def ols_fit(w, y, column_labels=None) -> FitResult:
             columns=list(cols),
         )
 
+    q, _, info = _ORGQR(qr, tau, lwork=lwork_gqr, overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of orgqr")
     qty = q.T @ y
-    beta = np.empty(m)
-    beta[piv] = scipy.linalg.solve_triangular(r, qty)
     residuals = y - q @ qty
-    return FitResult(beta=beta, residuals=residuals, ortho=q)
+    return FitResult(residuals=residuals, ortho=q, r=r, piv=piv, qty=qty)
 
 
-def annihilate(fit: FitResult, u) -> np.ndarray:
-    """Apply M = I - W(W'W)^{-1}W' to a vector using the stored factor."""
+def annihilate(fit: FitResult, u, out=None) -> np.ndarray:
+    """Apply M = I - W(W'W)^{-1}W' to a vector using the stored factor.
+
+    The result is written into ``out`` if given; it may be ``u`` itself.
+    """
     u = np.asarray(u, dtype=float)
     if u.shape[0] != fit.n_obs:
         raise ValueError(f"length {u.shape[0]} does not match n = {fit.n_obs}")
-    return u - fit.ortho @ (fit.ortho.T @ u)
+    proj = fit.ortho @ (fit.ortho.T @ u)
+    return np.subtract(u, proj, out=proj if out is None else out)
 
 
 def residualize_block(fit: FitResult, z) -> np.ndarray:

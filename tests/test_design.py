@@ -1,6 +1,8 @@
 """Design assembly: term-count progressions, recipes, collinearity screening."""
 
+import gc
 import re
+import traceback
 from dataclasses import replace
 from itertools import combinations
 
@@ -167,6 +169,23 @@ class TestSharedBasisTable:
             same_design(table.design(spec), want)
         assert failed and len(failed) < len(specs)
 
+    def test_a_failed_design_leaves_no_reference_cycle(self):
+        rng = np.random.default_rng(3)
+        data = {"x1": rng.normal(size=200), "x2": rng.integers(0, 4, 200).astype(float)}
+        specs = [simulation_spec(a, "spline") for a in (4, 9)]
+        gc.collect()
+        gc.disable()
+        try:
+            table = ColumnTable(data, specs)
+            for _ in range(2):
+                with pytest.raises(DesignError, match="too few for 5 distinct") as info:
+                    table.design(specs[1])
+                assert len(traceback.extract_tb(info.value.__traceback__)) <= 3
+            del table, info
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_high_order_spline_fails_only_where_its_restricted_size_is_too_small(self):
         # restricted_interaction_order(6) = 5 leaves no room for a spline of
         # order 5, which only the restricted recipe asks for
@@ -190,6 +209,43 @@ class TestSharedBasisTable:
             assert np.array_equal(got.w.view(np.int64), want[0].view(np.int64))
             assert np.array_equal(got.z.view(np.int64), want[1].view(np.int64))
             same_design(table.design(spec), got)
+
+
+    def test_rendered_knot_labels_decide_a_repeat(self):
+        # a linear variable named like a knot label repeats it only on a
+        # sample whose median places that knot: the cached layout must check
+        # the rendered labels of each sample, in the order of a lone build
+        spec = ModelSpec(("x_tp0.0",), (("x", BasisSpec("spline", 5)),),
+                         AlternativeSpec("additive_only", (("x", BasisSpec("power", 6)),)))
+        rng = np.random.default_rng(5)
+        u = rng.normal(size=81)
+        for x, repeats in ((np.r_[-np.abs(u[:40]), 0.0, np.abs(u[41:])], True),
+                           (u, False)):
+            data = {"x": x, "x_tp0.0": rng.normal(size=81)}
+            table = ColumnTable(data, [spec, simulation_spec(4)])
+            if not repeats:
+                same_design(table.design(spec), build_partially_linear(data, spec))
+                continue
+            for build in (lambda: build_partially_linear(data, spec),
+                          lambda: table.design(spec)):
+                with pytest.raises(DesignError, match=re.escape(
+                        "duplicate column 'x_tp0.0' in null design")):
+                    build()
+
+
+    def test_specs_of_one_table_read_one_length(self):
+        # each spec alone builds; in one table the first one's length holds
+        rng = np.random.default_rng(6)
+        data = {"x1": rng.normal(size=100), "x2": rng.normal(size=100),
+                "u": rng.normal(size=90)}
+        other = ModelSpec(("u",), (), AlternativeSpec("additive_only",
+                                                      (("u", BasisSpec("power", 4)),)))
+        table = ColumnTable(data, [simulation_spec(4), other])
+        same_design(table.design(simulation_spec(4)),
+                    build_partially_linear(data, simulation_spec(4)))
+        assert build_partially_linear(data, other).n_obs == 90
+        with pytest.raises(DesignError, match="variable 'u' has inconsistent length"):
+            table.design(other)
 
 
 class TestBuildPartiallyLinear:
@@ -402,11 +458,12 @@ def per_column_design(data, spec):
 
 
 NAMES = ("x1", "x2", "x3")
+KINDS = ("continuous", "tied", "constant")
 
 
 @st.composite
 def models(draw):
-    """A model over x1, x2 and x3 (x3 takes 5 values, so spline knots tie)."""
+    """A model over x1, x2 and x3, whose samples may tie or hold a variable constant."""
     family = draw(st.sampled_from(["power", "spline"]))
 
     def bspec():
@@ -433,31 +490,49 @@ def models(draw):
                      [(v, bspec()) for v in names[n_linear:n_linear + n_series]], alt)
 
 
+@st.composite
+def samples(draw):
+    """Values of x1, x2 and x3 on one sample.
+
+    Each variable is continuous, tied (a handful of values, so spline knots
+    coincide) or constant; x3 is never continuous.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(30, 160))
+    kinds = draw(st.tuples(st.sampled_from(KINDS), st.sampled_from(KINDS),
+                           st.sampled_from(KINDS[1:])))
+    continuous = {"x1": lambda: rng.normal(size=n), "x2": lambda: rng.uniform(-2.0, 2.0, n)}
+    return {name: (continuous[name]() if kind == "continuous"
+                   else rng.integers(0, draw(st.integers(2, 6)), n).astype(float)
+                   if kind == "tied" else np.full(n, draw(st.sampled_from([-1.5, 0.0, 2.0]))))
+            for name, kind in zip(NAMES, kinds)}
+
+
 class TestLabelRule:
     @settings(max_examples=300, deadline=None)
     @given(specs=st.lists(models(), min_size=1, max_size=4),
-           seed=st.integers(0, 2 ** 32 - 1), n=st.integers(30, 160))
-    def test_blocks_equal_the_per_column_assembly(self, specs, seed, n):
-        # each spec alone against the oracle, then all of them from one table
-        rng = np.random.default_rng(seed)
-        data = {"x1": rng.normal(size=n), "x2": rng.uniform(-2.0, 2.0, n),
-                "x3": rng.integers(0, 5, n).astype(float)}
-        table = ColumnTable(data, specs)
-        for spec in specs:
-            try:
-                want = per_column_design(data, spec)
-            except (DesignError, ValueError) as exc:
-                for build in (lambda: build_partially_linear(data, spec),
-                              lambda: table.design(spec)):
-                    with pytest.raises(type(exc), match=re.escape(str(exc))):
-                        build()
-                continue
-            got = build_partially_linear(data, spec)
-            assert (got.w_labels, got.z_labels) == want[2:]
-            assert got.z.shape == want[1].shape
-            assert np.array_equal(got.w.view(np.int64), want[0].view(np.int64))
-            assert np.array_equal(got.z.view(np.int64), want[1].view(np.int64))
-            same_design(table.design(spec), got)
+           data=st.lists(samples(), min_size=2, max_size=2))
+    def test_blocks_equal_the_per_column_assembly(self, specs, data):
+        # each spec alone against the oracle, then all of them from one table;
+        # the tables of both samples are filled from one cached layout
+        tables = [ColumnTable(sample, specs) for sample in data]
+        assert tables[0]._layout is tables[1]._layout
+        for sample, table in zip(data, tables):
+            for spec in specs:
+                try:
+                    want = per_column_design(sample, spec)
+                except (DesignError, ValueError) as exc:
+                    for build in (lambda: build_partially_linear(sample, spec),
+                                  lambda: table.design(spec)):
+                        with pytest.raises(type(exc), match=re.escape(str(exc))):
+                            build()
+                    continue
+                got = build_partially_linear(sample, spec)
+                assert (got.w_labels, got.z_labels) == want[2:]
+                assert got.z.shape == want[1].shape
+                assert np.array_equal(got.w.view(np.int64), want[0].view(np.int64))
+                assert np.array_equal(got.z.view(np.int64), want[1].view(np.int64))
+                same_design(table.design(spec), got)
 
 
 class TestParseTerm:

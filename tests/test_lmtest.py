@@ -314,6 +314,16 @@ class TestVarianceWeights:
         assert floored
         assert np.all(weights > 0.0)
 
+    def test_floor_in_place_is_bitwise_the_new_array(self):
+        # the bootstrap floors each block's squared residuals into the residuals
+        rng = np.random.default_rng(80)
+        e = rng.normal(size=(50, 7)) * rng.uniform(0.0, 1.0, size=7)
+        e[[3, 17], [1, 5]] = 0.0
+        want, want_floored = floored_squares(e)
+        got, floored = floored_squares(e, out=e)
+        assert got is e and np.array_equal(got, want)
+        assert np.array_equal(floored, want_floored) and floored[[1, 5]].all()
+
     def test_true_weights_must_be_positive(self):
         w, z, _, fit, _, _ = make_instance(81, 12, 2, 2)
         with pytest.raises(ValueError, match="positive and finite"):

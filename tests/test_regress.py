@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from serieslm import lmtest
 from serieslm.errors import RankDeficiencyError
-from serieslm.regress import annihilate, ols_fit, residualize_block
+from serieslm.regress import RANK_RTOL, annihilate, ols_fit, residualize_block
 
 
 def random_system(seed, n, m):
@@ -66,6 +68,76 @@ class TestOlsFit:
             ols_fit(np.ones((3, 1)), [1.0, 2.0])
 
 
+def power_design(seed, n=400, a=12):
+    """A raw power basis [1, x, ..., x^(a-1)] on (0, 3): condition number near 1e9."""
+    x = np.random.default_rng(seed).uniform(0.0, 3.0, n)
+    return np.vander(x, a, increasing=True)
+
+
+def layouts(w):
+    """``w`` C-ordered, F-ordered and as a strided view of a wider array."""
+    wide = np.zeros((w.shape[0], 2 * w.shape[1]))
+    wide[:, ::2] = w
+    return {"C": np.ascontiguousarray(w), "F": np.asfortranarray(w), "strided": wide[:, ::2]}
+
+
+class TestDirectLapack:
+    """The direct geqp3/orgqr and potrs calls against scipy.linalg's wrappers, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["random", "power"])
+    @pytest.mark.parametrize("order", ["C", "F", "strided"])
+    def test_fit_is_bitwise_scipy_qr(self, kind, order):
+        for seed in range(8):
+            if kind == "random":
+                w, y = random_system(seed, 300, 2 + seed)
+            else:
+                w, y = power_design(seed), np.random.default_rng(seed).normal(size=400)
+                assert 1e8 < np.linalg.cond(w) < 1e10
+            w = layouts(w)[order]
+            q, r, piv = scipy.linalg.qr(w, mode="economic", pivoting=True)
+            fit = ols_fit(w, y)
+            assert np.array_equal(fit.ortho, q)
+            assert np.array_equal(fit.residuals, y - q @ (q.T @ y))
+            assert np.array_equal(fit.piv, piv)
+            beta = np.empty(w.shape[1])
+            beta[piv] = scipy.linalg.solve_triangular(r, q.T @ y)
+            assert np.array_equal(fit.beta, beta)
+
+    @pytest.mark.parametrize("order", ["C", "F", "strided"])
+    def test_rank_deficient_design_names_scipy_s_columns(self, order):
+        w, y = random_system(21, 60, 5)
+        w = np.column_stack([w[:, :3], w[:, 0] - 2.0 * w[:, 2], w[:, 3:], w[:, 1]])
+        w = layouts(w)[order]
+        _, r, piv = scipy.linalg.qr(w, mode="economic", pivoting=True)
+        diag = np.abs(np.diag(r))
+        want = list(piv[diag < RANK_RTOL * diag[0]])
+        labels = [f"w{j}" for j in range(w.shape[1])]
+        with pytest.raises(RankDeficiencyError) as err:
+            ols_fit(w, y, column_labels=labels)
+        assert len(want) == 2 and err.value.columns == want
+        assert str(err.value).endswith(", ".join(labels[j] for j in want))
+
+    def test_beta_is_solved_on_first_use(self):
+        w, y = random_system(22, 80, 4)
+        fit = ols_fit(w, y)
+        assert "beta" not in vars(fit)
+        np.testing.assert_allclose(fit.beta, np.linalg.lstsq(w, y, rcond=None)[0],
+                                   rtol=1e-10)
+        assert fit.beta is fit.beta
+
+    @pytest.mark.parametrize("m", [3, 10, 21])
+    def test_cholesky_solve_is_bitwise_cho_solve(self, m):
+        rng = np.random.default_rng(m)
+        for _ in range(10):
+            a = rng.normal(size=(4 * m, m)) * rng.uniform(0.1, 10.0, size=m)
+            factor = lmtest._chol(a.T @ a, "m")
+            b = rng.normal(size=(m, 7))
+            for rhs in (b[:, 0], b[:, 3].copy(), b, np.asfortranarray(b), b[:, ::2]):
+                want = scipy.linalg.cho_solve((factor, True), rhs)
+                got = lmtest._cho_solve(factor, rhs)
+                assert got.shape == want.shape and np.array_equal(got, want)
+
+
 class TestAnnihilate:
     def test_kills_column_of_w(self):
         w, _ = random_system(6, 50, 4)
@@ -103,6 +175,13 @@ class TestAnnihilate:
         u, v = rng.normal(size=60), rng.normal(size=60)
         assert annihilate(fit, u) @ v == pytest.approx(u @ annihilate(fit, v),
                                                        rel=1e-10)
+
+    def test_in_place_is_bitwise_the_new_array(self):
+        w, _ = random_system(18, 70, 5)
+        fit = ols_fit(w, np.zeros(70))
+        u = np.random.default_rng(19).normal(size=(70, 9))
+        want = annihilate(fit, u)
+        assert annihilate(fit, u, out=u) is u and np.array_equal(u, want)
 
     def test_length_mismatch(self):
         w, _ = random_system(11, 30, 3)
