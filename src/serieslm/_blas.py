@@ -1,4 +1,4 @@
-"""Thread counts of the two OpenBLAS builds: scipy's pinned, numpy's read.
+"""Per-process settings the CLI and its workers take: LAPACK threads and heap policy.
 
 scipy's wheels link ``scipy.linalg._flapack`` against their own OpenBLAS,
 which serves the QR, Cholesky and triangular solves.  Its default of one
@@ -18,6 +18,10 @@ The thread functions are looked up through the extension modules, so the
 dynamic linker finds them in whichever OpenBLAS each one loaded; a build on
 another BLAS or LAPACK exports none, and the pin (or the read) then does
 nothing.
+
+``keep_freed_memory`` keeps freed arrays on glibc's heap, so a replication
+reuses the pages of the last one instead of faulting fresh ones in.  The CLI
+and the pool initializer call it; nothing undoes it, and no import calls it.
 """
 
 from __future__ import annotations
@@ -25,6 +29,9 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+
+# mallopt (param, value): M_MMAP_THRESHOLD 32 MiB, glibc's 64-bit max; M_TRIM_THRESHOLD 256 MiB
+HEAP_POLICY = ((-3, 32 << 20), (-1, 256 << 20))
 
 # numpy's thread query: the numpy 2.x wheels' name first, then numpy 1.x's
 NUMPY_THREAD_QUERIES = ("scipy_openblas_get_num_threads64_",
@@ -97,8 +104,20 @@ def single_threaded_lapack():
         set_threads(previous)
 
 
-def pin_worker_lapack():
-    """Process-pool initializer: one LAPACK thread for the life of the worker."""
+def keep_freed_memory() -> bool:
+    """Keep freed blocks on the heap for the process's life; False off glibc or if refused."""
+    try:
+        mallopt = _library("libc.so.6").mallopt
+    except (OSError, AttributeError):  # not glibc
+        return False
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    return all([mallopt(param, value) == 1 for param, value in HEAP_POLICY])
+
+
+def init_worker():
+    """Process-pool initializer: one LAPACK thread and the heap policy for life."""
+    keep_freed_memory()
     functions = _thread_functions()
     if functions is not None:
         functions[1](1)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._blas import single_threaded_lapack
+from ._blas import keep_freed_memory, single_threaded_lapack
 from .bootstrap import MULTIPLIERS, unreachable_levels, wild_bootstrap
 from .design import (MODEL, REQUIRED, ModelSpec, build_partially_linear, check_json,
                      screen_collinear)
@@ -388,6 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    keep_freed_memory()
     try:
         with single_threaded_lapack():
             return args.func(args)

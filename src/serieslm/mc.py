@@ -20,6 +20,7 @@ process, and ``config.threads`` (``--threads``) takes effect only when
 numpy's BLAS threads are lowered, e.g. with ``OPENBLAS_NUM_THREADS``.  More
 processes would only share the cores each one's BLAS already fills.  numpy's
 thread count is read, never set.  The policy was measured on two cores only.
+Workers run scipy's LAPACK on one thread and keep freed memory on the heap.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._blas import numpy_blas_threads, pin_worker_lapack, single_threaded_lapack
+from ._blas import init_worker, numpy_blas_threads, single_threaded_lapack
 from .bootstrap import MULTIPLIERS, wild_bootstrap
 from .design import simulation_design
 from .distributions import normal_quantile
@@ -354,7 +355,8 @@ def run_mc(config: McConfig) -> McReport:
     the cell enumeration, so the rows are identical for any worker count.
     scipy's LAPACK runs on one thread in this process and in every worker
     for the duration of the run (see ``_blas``); the caller's thread count
-    is restored on return, also when a cell raises.
+    is restored on return, also when a cell raises.  Workers keep freed
+    memory on the heap; this process keeps the caller's allocator policy.
     """
     fixed = tuple(v for v in config.variants if v in FIXED_VARIANTS)
     grids = tuple(v for v in config.variants if v in GRID_VARIANTS)
@@ -376,7 +378,7 @@ def run_mc(config: McConfig) -> McReport:
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=plan.workers,
-                                     initializer=pin_worker_lapack) as pool:
+                                     initializer=init_worker) as pool:
                 chunks = list(pool.map(_run_cell, *zip(*jobs)))
         else:
             chunks = [_run_cell(*job) for job in jobs]

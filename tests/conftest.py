@@ -7,6 +7,9 @@ import pytest
 
 from serieslm import _blas
 
+# the acceptance fixtures run run_mc in this process: give them the CLI's heap
+_blas.keep_freed_memory()
+
 
 @pytest.fixture
 def lapack_threads():

@@ -248,9 +248,13 @@ class TestLapackPin:
             run_mc(tiny_config(replications=2, a_values=(3,)))
         assert lapack_threads() == 3
 
-    def test_worker_initializer_pins(self, lapack_threads):
-        _blas.pin_worker_lapack()
+    def test_worker_initializer_pins(self, lapack_threads, monkeypatch):
+        # a worker takes the heap policy as well as the LAPACK pin
+        heap_policies = []
+        monkeypatch.setattr(_blas, "keep_freed_memory", lambda: heap_policies.append(1))
+        _blas.init_worker()
         assert lapack_threads() == 1
+        assert heap_policies == [1]
 
     def test_unpinned_run_is_bitwise_equal(self, lapack_threads, monkeypatch,
                                            pinned_report):
