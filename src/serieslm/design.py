@@ -437,10 +437,9 @@ class ColumnTable:
     labels from the sample's knots, and computes each column id the passing
     specs need once into one C-ordered n x K ``array``.  ``design`` gathers
     a spec's W and Z from it with one ``take`` apiece, so they come out
-    C-ordered; ``null`` and ``z`` gather one alone.  A spec that fails keeps
-    its error, which each gather raises for that spec alone, so designs asked
-    for in turn fail where lone builds would.  The specs of one table read
-    their variables at one length.
+    C-ordered.  A spec that fails keeps its error, which ``design`` raises
+    for that spec alone, so designs asked for in turn fail where lone builds
+    would.  The specs of one table read their variables at one length.
     """
 
     def __init__(self, data, specs):
@@ -459,27 +458,15 @@ class ColumnTable:
         self._fill(layout.fill(tuple(ok)), n)
 
     def design(self, spec: ModelSpec) -> DesignPair:
-        w, z, w_labels, z_labels = self._parts(spec)
-        return DesignPair(self._gather(w), self._gather(z), w_labels, z_labels)
-
-    def null(self, spec: ModelSpec) -> tuple:
-        """(W, W labels) of ``spec`` as ``design`` gives them, without gathering Z."""
-        w, _, w_labels, _ = self._parts(spec)
-        return self._gather(w), w_labels
-
-    def z(self, spec: ModelSpec) -> np.ndarray:
-        """Z of ``spec`` as ``design`` gives it, without gathering W."""
-        return self._gather(self._parts(spec)[1])
-
-    def _parts(self, spec: ModelSpec) -> tuple:
-        """(W ids, Z ids, W labels, Z labels) of ``spec``, or the error its build raises."""
         i = self._layout.specs.index(spec)
         outcome = self._outcomes[i]
         if isinstance(outcome, Exception):
             # a copy: raising the stored error would tie its traceback, and
             # with it this table, into a reference cycle
             raise copy.copy(outcome)
-        return (self._layout.plans[i].w, *outcome[1:])
+        _, z, w_labels, z_labels = outcome
+        return DesignPair(self._gather(self._layout.plans[i].w), self._gather(z),
+                          w_labels, z_labels)
 
     def _gather(self, ids: np.ndarray) -> np.ndarray:
         return self.array.take(self._at[ids], 1, mode="clip")  # every id is in range

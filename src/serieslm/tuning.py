@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design import SIMULATION_A_MIN, ColumnTable, simulation_spec
+from .design import SIMULATION_A_MIN, ColumnTable, simulation_design, simulation_spec
 from .lmtest import SampleFit, check_alphas, check_not_exact_fit, chisq_rule
 from .regress import ols_fit
 
@@ -113,8 +113,14 @@ class DataDrivenResult:
     candidate_table: tuple = field(default=())
 
 
+def _null_fit(y, x1, x2, a: int, family: str, table: ColumnTable) -> tuple:
+    """(a, null fit, Z) of one grid candidate; its W dies on return."""
+    pair = simulation_design(x1, x2, a, family, table)
+    return a, ols_fit(pair.w, y, column_labels=pair.w_labels), pair.z
+
+
 def _row(a: int, fit, z) -> tuple:
-    """(a, m_n, r_n, rss, statistic) of one candidate; its Z and Zt die on return."""
+    """(a, m_n, r_n, rss, statistic) of one candidate; its Zt dies on return."""
     return a, fit.n_params, z.shape[1], fit.rss, SampleFit(fit, z).statistic()
 
 
@@ -123,25 +129,24 @@ def data_driven_decisions(y, x1, x2, grid: TuningGrid, family: str = "power",
     """Data-driven tests for several selection criteria on one sample.
 
     Every candidate's design is gathered from one column table of the
-    sample, so each distinct column is computed once.  The null fits of all
-    candidates come first, each from its W alone, and each criterion picks
-    its null size from them.  Z is gathered and the statistic computed only
-    from the smaller pick upward: no decision reads a candidate below both
-    picks, so a statistic there is never computed and cannot fail.
+    sample, so each distinct column is computed once, and each design is
+    built once.  The null fits of all candidates come first, and each
+    criterion picks its null size from them.  The statistic is then computed
+    only from the smaller pick upward: no decision reads a candidate below
+    both picks, so a statistic there is never computed and cannot fail.
     Returns {criterion: DataDrivenResult}.
     """
     for criterion in criteria:
         if criterion not in CRITERIA:
             raise ValueError(f"unknown criterion {criterion!r}; expected {CRITERIA}")
     y = np.asarray(y, dtype=float).ravel()
-    specs = [simulation_spec(a, family) for a in grid.candidates]
-    table = ColumnTable({"x1": x1, "x2": x2}, specs)
-    # each candidate's W dies once it is fit
-    null_fits = [ols_fit(w, y, column_labels=labels) for w, labels in map(table.null, specs)]
-    picks = {criterion: _select_size(null_fits, criterion) for criterion in criteria}
+    table = ColumnTable({"x1": x1, "x2": x2},
+                        [simulation_spec(a, family) for a in grid.candidates])
+    null_fits = [_null_fit(y, x1, x2, a, family, table) for a in grid.candidates]
+    picks = {criterion: _select_size([fit for _, fit, _ in null_fits], criterion)
+             for criterion in criteria}
     first = min(picks.values(), default=len(null_fits))
-    rows = [_row(a, fit, table.z(spec)) for a, spec, fit
-            in zip(grid.candidates[first:], specs[first:], null_fits[first:])]
+    rows = [_row(*cand) for cand in null_fits[first:]]
 
     out = {}
     for criterion, a_idx in picks.items():

@@ -11,7 +11,7 @@ import pytest
 import scipy.stats
 
 from serieslm import basis, cli, lmtest, mc, tuning
-from serieslm.design import ColumnTable, simulation_design, simulation_spec
+from serieslm.design import simulation_design
 from serieslm.distributions import chisq_quantile
 from serieslm.errors import ExactFitError, RankDeficiencyError, SingularMomentMatrixError
 from serieslm.mc import DgpSpec, McConfig, gen_sample, run_mc
@@ -278,16 +278,13 @@ class TestDataDrivenDecisions:
             assert res.p_value == pytest.approx(
                 scipy.stats.chi2.sf(stat, r_min), rel=1e-12)
 
-    # (n, hypothesis, seed, family, Cp and GCV picks) of samples with known picks
-    PICKS = [
+    @pytest.mark.parametrize("n,hyp,seed,family,picks", [
         (400, "null", 7, "power", (4, 4)),
         (400, "alternative", 2, "power", (7, 7)),
         (400, "alternative", 2, "spline", (5, 5)),
         (250, "null", 29, "spline", (5, 4)),
         (150, "null", 39, "power", (8, 7)),
-    ]
-
-    @pytest.mark.parametrize("n,hyp,seed,family,picks", PICKS)
+    ])
     def test_statistic_only_from_the_smaller_pick_upward(self, monkeypatch, n, hyp,
                                                          seed, family, picks):
         # every r_n of the grid is distinct, so the tested r_n name the candidates
@@ -305,27 +302,6 @@ class TestDataDrivenDecisions:
         r_ns = [simulation_design(x1, x2, a, family).r_n for a in self.GRID.candidates]
         assert tested == r_ns[first:]
 
-    @pytest.mark.parametrize("n,hyp,seed,family,picks", PICKS)
-    def test_z_gathered_only_for_tested_candidates(self, monkeypatch, n, hyp, seed,
-                                                   family, picks):
-        # Z is gathered alone, once per tested row; no (W, Z) pair is gathered
-        y, x1, x2 = gen_sample(DgpSpec(n, hyp, seed=seed))
-        real_z, gathered = ColumnTable.z, []
-
-        def counting_z(table, spec):
-            gathered.append(spec)
-            return real_z(table, spec)
-
-        def no_pair(table, spec):
-            raise AssertionError("a candidate's W and Z were gathered together")
-
-        monkeypatch.setattr(ColumnTable, "z", counting_z)
-        monkeypatch.setattr(ColumnTable, "design", no_pair)
-        got = data_driven_decisions(y, x1, x2, self.GRID, family=family)
-        tested = self.GRID.candidates[self.GRID.candidates.index(min(picks)):]
-        assert max(len(res.candidate_table) for res in got.values()) == len(tested)
-        assert gathered == [simulation_spec(a, family) for a in tested]
-
     @pytest.mark.parametrize("hyp,seed,family", [
         ("null", 7, "power"), ("null", 7, "spline"),
         ("alternative", 2, "power"), ("alternative", 2, "spline"),
@@ -334,10 +310,10 @@ class TestDataDrivenDecisions:
                                                          family):
         # one table per sample: each variable's powers in one pass up to the
         # highest one any candidate asks for, one quantile call per spline
-        # variable, and each candidate's W gathered once
+        # variable, and each candidate's design gathered once
         y, x1, x2 = gen_sample(DgpSpec(400, hyp, seed=seed))
         real_powers, real_quantile = basis._power_rows, np.quantile
-        real_null = ColumnTable.null
+        real_design = tuning.simulation_design
         powers, quantiles, designs = [], [], []
 
         def which(v):
@@ -351,13 +327,13 @@ class TestDataDrivenDecisions:
             quantiles.append(which(v))
             return real_quantile(v, *args, **kwargs)
 
-        def counting_null(table, spec):
-            designs.append(spec.series_vars[0][1].a)
-            return real_null(table, spec)
+        def counting_design(x1, x2, a_n, *args):
+            designs.append(a_n)
+            return real_design(x1, x2, a_n, *args)
 
         monkeypatch.setattr(basis, "_power_rows", counting_powers)
         monkeypatch.setattr(np, "quantile", counting_quantile)
-        monkeypatch.setattr(ColumnTable, "null", counting_null)
+        monkeypatch.setattr(tuning, "simulation_design", counting_design)
         for grid in (TuningGrid(tuple(range(4, 10))), TuningGrid(tuple(range(4, 13)))):
             powers.clear()
             quantiles.clear()
