@@ -8,13 +8,7 @@ the statistic variants, wild-bootstrap critical values, data-driven size
 selection, and a reproducible Monte Carlo harness.
 """
 
-from .basis import (
-    BasisSpec,
-    quantile_knots,
-    restricted_interaction_order,
-    spline_basis,
-    tensor_interactions,
-)
+from .basis import BasisSpec, restricted_interaction_order, tensor_interactions
 from .bootstrap import BootstrapResult, draw_multipliers, wild_bootstrap
 from .design import (
     AlternativeSpec,
@@ -78,7 +72,6 @@ __all__ = [
     "normal_cdf",
     "normal_quantile",
     "ols_fit",
-    "quantile_knots",
     "residualize_block",
     "restricted_interaction_order",
     "run_mc",
@@ -86,7 +79,6 @@ __all__ = [
     "screen_collinear",
     "select_r",
     "simulation_design",
-    "spline_basis",
     "standardize",
     "tensor_interactions",
     "variant_statistic",

@@ -8,11 +8,12 @@ that constant, so a spline of order ``s`` needs ``a >= s + 1`` and carries
 ``a - s - 1`` knots, and a power basis of size ``a`` is the knot-free spline
 of order ``a - 1``.
 
-``SeriesColumns`` serves every basis of one variable on one sample: its powers
-come from one pass at the highest power asked for, the knots of every size
-from one ``np.quantile`` call, and each distinct knot column is computed once.
-``build_basis`` and ``spline_basis`` give one basis as a ``(labels, block)``
-pair with the same labels, checks and bits.
+One function of each kind serves every basis: ``_place_knots`` places the
+knots of several counts on a sample with one ``np.quantile`` call,
+``knot_problem`` checks them, and ``series_rows`` evaluates the powers and
+knot columns of a variable into rows of a caller's buffer.  A
+``design.ColumnTable`` calls them once per variable and sample for all its
+specs; ``build_basis`` gives one basis as a ``(labels, block)`` pair.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from .errors import DesignError
 
 __all__ = [
     "BasisSpec",
-    "quantile_knots",
-    "spline_basis",
     "build_basis",
-    "SeriesColumns",
+    "knot_level",
+    "knot_problem",
+    "series_rows",
     "restricted_interaction_order",
     "tensor_interactions",
 ]
@@ -83,15 +84,6 @@ class BasisSpec:
         return self.a - self.spline_order - 1
 
 
-def _as_vector(v, what="input"):
-    arr = np.asarray(v, dtype=float).ravel()
-    if arr.size < 1:
-        raise ValueError(f"{what} must contain at least one observation")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} contains non-finite values")
-    return arr
-
-
 def _power_label(name: str, j: int) -> str:
     return name if j == 1 else f"{name}^{j}"
 
@@ -100,38 +92,45 @@ def _knot_label(name: str, t: float) -> str:
     return f"{name}_tp{t!r}"
 
 
-def _levels(q: int) -> np.ndarray:
-    return np.arange(1, q + 1) / (q + 1.0)
+def knot_level(q: int, k: int) -> float:
+    """The quantile level k / (q + 1) of the k-th of q knots."""
+    return k / (q + 1.0)
 
 
-def _place_knots(arr: np.ndarray, counts) -> dict:
-    """{q: list of knots} for each count q, from one ``np.quantile`` over all the levels.
+def _place_knots(v: np.ndarray, counts) -> dict:
+    """{q: list of q knots} for each count q, from one ``np.quantile`` over all the levels.
 
-    Each quantile depends on its own level only, so the knots of a count are
-    bitwise those of a call for that count alone.
+    The knots of a count sit at the empirical quantiles of ``v`` (linear
+    interpolation between order statistics) at their ``knot_level``.  Each
+    quantile depends on its own level only, so the knots of a count equal
+    those of a call for that count alone; only a zero knot on a sample with
+    both signed zeros may take either sign.
     """
     counts = sorted(set(counts))
-    values = np.quantile(arr, np.concatenate([_levels(q) for q in counts])).tolist()
+    values = np.quantile(v, [knot_level(q, k) for q in counts
+                             for k in range(1, q + 1)]).tolist()
     ends = np.cumsum(counts).tolist()
     return {q: values[end - q:end] for q, end in zip(counts, ends)}
 
 
-def quantile_knots(v, q: int) -> np.ndarray:
-    """Empirical quantiles of v at levels k/(q+1), k = 1..q.
+def knot_problem(v: np.ndarray, knots: list, name: str):
+    """The error that ``knots`` placed on the sample ``v`` of ``name`` raise, or None.
 
-    Linear interpolation between order statistics; returns a nondecreasing
-    vector inside the sample range.
+    Placing as many knots as observations, or more, is a ValueError.  Quantile
+    knots that coincide (tied data, a constant sample) or reach the sample
+    maximum would give repeated or all-zero columns, so they are a
+    DesignError naming the variable.
     """
-    if q < 0:
-        raise ValueError("knot count must be nonnegative")
-    arr = _as_vector(v)
-    if q == 0:
-        return np.empty(0)
-    if arr.size <= q:
-        raise ValueError(f"need more than {q} observations to place {q} knots")
-    if arr.min() == arr.max():
-        raise ValueError("cannot place knots on a degenerate (constant) sample")
-    return np.array(_place_knots(arr, (q,))[q])
+    q = len(knots)
+    if not q:
+        return None
+    if v.size <= q:
+        return ValueError(f"need more than {q} observations to place {q} knots")
+    if knots[-1] >= np.max(v) or any(b <= a for a, b in zip(knots, knots[1:])):
+        return DesignError(
+            f"variable {name!r} has {np.unique(v).size} distinct values, "
+            f"too few for {q} distinct spline knots below its maximum")
+    return None
 
 
 def _power_rows(arr: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -158,113 +157,41 @@ def _knot_rows(arr: np.ndarray, knots: np.ndarray, s: int) -> np.ndarray:
     return np.where(arr > t, arr - t, 0.0) ** s
 
 
-def spline_basis(v, a: int, s: int = 3, knots=None, name: str = "v") -> tuple:
-    """Truncated-power spline basis v, ..., v^s, (v - t_k)_+^s, without its constant.
+def series_rows(v: np.ndarray, top: int, blocks, out: np.ndarray) -> np.ndarray:
+    """Write series columns of the sample ``v`` into the first rows of ``out``.
 
-    Returns ``(labels, block)`` with an ``n x (a - 1)`` block.  ``knots``
-    must have exactly ``a - s - 1`` nondecreasing entries; pass an empty
-    sequence (or None with a == s + 1) for the knot-free case, which is the
-    power basis of size ``a`` (order s = 0 is allowed there, giving the
-    empty block of ``a = 1``).  The knot columns form one block.
+    The powers v, ..., v^top come first, in one pass; then each ``(s,
+    knots)`` of ``blocks`` gives one row (v - t)_+^s per knot t, in order.
+    Returns the rows written.
     """
-    arr = _as_vector(v)
-    if s < (1 if a > s + 1 else 0):
-        raise ValueError("spline order must be >= 1, or >= 0 without knots")
-    if a < s + 1:
-        raise ValueError(f"spline basis needs a >= s + 1 (got a={a}, s={s})")
-    knots = np.empty(0) if knots is None else np.asarray(knots, dtype=float).ravel()
-    if knots.size != a - s - 1:
-        raise ValueError(
-            f"expected {a - s - 1} knots for a={a}, s={s}; got {knots.size}"
-        )
-    if knots.size and np.any(np.diff(knots) < 0):
-        raise ValueError("knots must be nondecreasing")
-
-    labels = tuple([_power_label(name, j) for j in range(1, s + 1)]
-                   + [_knot_label(name, t) for t in knots.tolist()])
-    powers = _power_rows(arr, np.empty((s, arr.size))).T
-    if not knots.size:
-        return labels, powers
-    return labels, np.hstack([powers, _knot_rows(arr, knots, s).T])
-
-
-class SeriesColumns:
-    """The basis columns of one variable on one sample, for any of several BasisSpecs.
-
-    ``counts`` lists the knot count of every spec whose basis may be asked
-    for; the knots of all of them come from one ``np.quantile`` call, made
-    here, and ``placed`` maps each count to its knots, unchecked.
-    ``knots(q)`` checks a count's knots, ``terms(spec)`` gives the labels and
-    column keys of one spec's basis, and ``evaluate(keys)`` computes distinct
-    keys, each once.  A key is ``j`` for the power v^j and ``(s, t)`` for the
-    knot column (v - t)_+^s.
-    """
-
-    def __init__(self, v, counts, name: str = "v"):
-        self.v = _as_vector(v)
-        self.name = name
-        counts = set(counts) - {0}
-        self.placed = _place_knots(self.v, counts) if counts else {}
-        self._max = float(np.max(self.v))
-
-    def knots(self, q: int) -> list:
-        """The ``q`` knots of the sample, placed at the levels k / (q + 1).
-
-        Quantile knots that coincide (tied data, a constant sample) or reach
-        the sample maximum would give repeated or all-zero columns, so they
-        are a DesignError naming the variable.
-        """
-        if not q:
-            return []
-        if self.v.size <= q:
-            raise ValueError(f"need more than {q} observations to place {q} knots")
-        knots = self.placed[q]
-        if knots[-1] >= self._max or any(b <= a for a, b in zip(knots, knots[1:])):
-            raise DesignError(
-                f"variable {self.name!r} has {np.unique(self.v).size} distinct values, "
-                f"too few for {q} distinct spline knots below its maximum")
-        return knots
-
-    def terms(self, spec: BasisSpec) -> tuple:
-        """``(labels, keys)`` of ``spec``'s basis, its knots placed and checked by ``knots``."""
-        s = spec.order
-        knots = self.knots(spec.n_knots)
-        powers = list(range(1, s + 1))
-        return ([_power_label(self.name, j) for j in powers]
-                + [_knot_label(self.name, t) for t in knots],
-                powers + [(s, t) for t in knots])
-
-    def evaluate(self, keys) -> tuple:
-        """``(keys, rows)``: the distinct ``keys`` of ``terms``, one row of values each.
-
-        The powers v, ..., v^p are one pass at the highest, and the knot
-        columns of each order one block.
-        """
-        top, knots = 0, {}
-        for key in keys:
-            if isinstance(key, tuple):
-                knots.setdefault(key[0], {})[key[1]] = None
-            else:
-                top = max(top, key)
-        order = list(range(1, top + 1)) + [(s, t) for s, ts in knots.items() for t in ts]
-        rows = np.empty((len(order), self.v.size))
-        _power_rows(self.v, rows[:top])
-        i = top
-        for s, ts in knots.items():
-            rows[i:i + len(ts)] = _knot_rows(self.v, np.array(list(ts)), s)
-            i += len(ts)
-        return order, rows
+    _power_rows(v, out[:top])
+    i = top
+    for s, knots in blocks:
+        out[i:i + len(knots)] = _knot_rows(v, np.array(knots), s)
+        i += len(knots)
+    return out[:i]
 
 
 def build_basis(v, spec: BasisSpec, name: str = "v") -> tuple:
     """``(labels, block)`` of a BasisSpec on a sample, knots placed from the sample.
 
-    The checks and labels are those of ``SeriesColumns.terms``.
+    The block is n x (a - 1).  Labels, checks and bits are those of a
+    ``design.ColumnTable``'s columns: both place knots with ``_place_knots``,
+    check them with ``knot_problem`` and evaluate with ``series_rows``.
     """
-    series = SeriesColumns(v, (spec.n_knots,), name)
-    _, keys = series.terms(spec)
-    return spline_basis(series.v, spec.a, spec.order, [t for _, t in keys[spec.order:]],
-                        name=name)
+    arr = np.asarray(v, dtype=float).ravel()
+    if arr.size < 1:
+        raise ValueError("input must contain at least one observation")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("input contains non-finite values")
+    s, q = spec.order, spec.n_knots
+    knots = _place_knots(arr, (q,))[q] if q else []
+    problem = knot_problem(arr, knots, name)
+    if problem is not None:
+        raise problem
+    labels = tuple([_power_label(name, j) for j in range(1, s + 1)]
+                   + [_knot_label(name, t) for t in knots])
+    return labels, series_rows(arr, s, [(s, knots)], np.empty((s + q, arr.size))).T
 
 
 def restricted_interaction_order(a: int) -> int:

@@ -59,7 +59,8 @@ class Dataset:
 def load_csv(path) -> Dataset:
     """Strict CSV reader: header row, comma-separated, every cell numeric."""
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        # utf-8-sig: a byte-order mark, as Excel writes, is not part of the first name
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise InputError(f"cannot open {path}: {exc}") from exc
     with fh:
@@ -135,9 +136,12 @@ def _fmt(x: float) -> str:
 def _write_json(path, payload):
     if path is None:
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _note_unreachable(command: str, draws: int, n_failed: int, levels):
@@ -289,9 +293,9 @@ def cmd_simulate(args) -> int:
         variants=tuple(args.variants.split(",")),
         hypotheses=tuple(args.hypotheses.split(",")),
         alphas=tuple(args.alpha) if args.alpha else (0.05,),
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
         bootstrap_draws=args.bootstrap,
-        bootstrap_dist=args.dist or "rademacher",
+        bootstrap_dist=args.dist,
         threads=args.threads,
     )
     if "wild_bootstrap" in config.variants:
@@ -306,7 +310,10 @@ def cmd_simulate(args) -> int:
               file=sys.stderr)
     csv_path = f"{args.out}.csv"
     plot_path = f"{args.out}.dat"
-    emit_report(report, csv_path, plot_path)
+    try:
+        emit_report(report, csv_path, plot_path)
+    except OSError as exc:
+        raise InputError(f"cannot write {exc.filename}: {exc.strerror}") from None
     print(f"wrote {csv_path} and {plot_path}")
     width = max(len(v) for v in config.variants)
     for row in report.rows:
@@ -358,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--hypotheses", default="null,alternative")
     p_sim.add_argument("--alpha", type=float, action="append")
     p_sim.add_argument("--bootstrap", type=int, default=399, metavar="B")
-    p_sim.add_argument("--dist", choices=MULTIPLIERS)
+    p_sim.add_argument("--dist", choices=MULTIPLIERS, default="rademacher")
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--threads", type=int, default=1,
                        help="worker processes at most, and no more than usable "

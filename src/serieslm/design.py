@@ -27,8 +27,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .basis import (BasisSpec, SeriesColumns, _knot_label, _power_label,
-                    restricted_interaction_order)
+from .basis import (BasisSpec, _knot_label, _place_knots, _power_label, knot_level,
+                    knot_problem, restricted_interaction_order, series_rows)
 from .errors import DesignError, SeriesLMError
 from .regress import ols_fit
 
@@ -311,15 +311,14 @@ class _Layout:
     linear regressor is its first power), a knot column (v - t)_+^s at a
     quantile level of the variable, a custom term, or a product of two series
     columns.  Its label is a string, or a template rendered from the sample's
-    knots: ``("tp", var, level)`` for a knot column, ``("*", id1, id2)`` for
-    a product with one.
+    knots: ``("tp", var, q, k)`` for a knot column, whose knot is the k-th of
+    the variable's q knots, ``("*", id1, id2)`` for a product with one.
     """
 
     def __init__(self, specs: tuple):
         self.specs = specs
         self.keys, self.labels, self._ids = [None], ["const"], {None: 0}
         self.counts = {}  # variable -> knot counts of its bases, for one quantile call
-        self.levels = {}  # (variable, level) -> (count q, position k) of its knot
         self.plans = [self._plan(spec) for spec in specs]
         self._fills = {}
 
@@ -341,10 +340,8 @@ class _Layout:
         if q:
             steps.append(("knots", var, q))
             counts.add(q)
-            for k in range(1, q + 1):
-                level = k / (q + 1.0)
-                self.levels.setdefault((var, level), (q, k))
-                ids.append(self._id(("knot", var, s, level), ("tp", var, level)))
+            ids += [self._id(("knot", var, s, knot_level(q, k)), ("tp", var, q, k))
+                    for k in range(1, q + 1)]
         return ids
 
     def _product(self, i1: int, i2: int) -> int:
@@ -400,24 +397,49 @@ class _Layout:
                          tuple(extra), labels, templated, frozenset(cols))
 
     def fill(self, ok: tuple) -> tuple:
-        """(series, terms, products) to compute for the designs of the specs at ``ok``.
+        """The row layout of a table of the designs of the specs at ``ok``.
 
-        ``series`` is ``(var, ids)`` per variable, ``terms`` is ``(id,
-        factors)`` per custom term and ``products`` is ``(id, factor id,
-        factor id)`` per product, all in id order.
+        Returns ``(series, terms, products, at, height)``.  Row 0 is the
+        constant; ``series`` is ``(var, row, top, blocks)`` per variable,
+        whose rows from ``row`` on are its powers v, ..., v^top and then, per
+        ``(s, [(q, k), ...])`` of ``blocks``, the knot columns of order s at
+        the k-th of its q knots; ``terms`` is ``(row, factors)`` per custom
+        term and ``products`` is ``(row, factor row, factor row)`` per
+        product.  ``at`` maps each column id to its row, and ``height``
+        counts the rows.
         """
         if ok not in self._fills:
+            keys = self.keys
             cols = sorted(frozenset().union(*[self.plans[i].cols for i in ok]) - {0})
-            series, terms, products = {}, [], []
+            at = np.zeros(len(keys), dtype=np.intp)
+            bases, row, series, terms, products = {}, 1, [], [], []
             for i in cols:
-                key = self.keys[i]
-                if key[0] in ("pow", "knot"):
-                    series.setdefault(key[1], []).append(i)
-                elif key[0] == "term":
-                    terms.append((i, key[1]))
+                if keys[i][0] in ("pow", "knot"):
+                    bases.setdefault(keys[i][1], []).append(i)
+            for var, ids in bases.items():
+                top = max([keys[i][2] for i in ids if keys[i][0] == "pow"], default=0)
+                blocks = {}  # order s -> ids of its knot columns
+                for i in ids:
+                    if keys[i][0] == "pow":
+                        at[i] = row + keys[i][2] - 1
+                    else:
+                        blocks.setdefault(keys[i][2], []).append(i)
+                series.append((var, row, top, [(s, [self.labels[i][2:] for i in knots])
+                                               for s, knots in blocks.items()]))
+                row += top
+                for knots in blocks.values():
+                    at[knots] = range(row, row + len(knots))
+                    row += len(knots)
+            for i in cols:
+                if keys[i][0] == "term":
+                    terms.append((row, keys[i][1]))
+                elif keys[i][0] == "prod":
+                    products.append((row, at[keys[i][1]], at[keys[i][2]]))
                 else:
-                    products.append((i, *key[1:]))
-            self._fills[ok] = (list(series.items()), terms, products)
+                    continue
+                at[i], row = row, row + 1
+            at.flags.writeable = False
+            self._fills[ok] = (series, terms, products, at, row)
         return self._fills[ok]
 
 
@@ -430,22 +452,26 @@ class ColumnTable:
     """Every column that a set of model specs needs on one sample, each computed once.
 
     ``data`` maps variable names to equal-length numeric vectors.  What
-    depends only on the specs (column ids, gather indices, label templates
-    and the label rule) is a ``_Layout``, planned once per tuple of specs for
-    the process.  The table fills it on the sample: it runs each spec's data
-    checks in the order of a lone ``build_partially_linear``, renders knot
-    labels from the sample's knots, and computes each column id the passing
-    specs need once into one C-ordered n x K ``array``.  ``design`` gathers
-    a spec's W and Z from it with one ``take`` apiece, so they come out
-    C-ordered.  A spec that fails keeps its error, which ``design`` raises
-    for that spec alone, so designs asked for in turn fail where lone builds
-    would.  The specs of one table read their variables at one length.
+    depends only on the specs (column ids, gather indices, label templates,
+    the label rule, and each column's row for a tuple of passing specs) is
+    a ``_Layout``, planned once per tuple of specs for the process.  The
+    table fills it on the sample: it runs each spec's data checks in the
+    order of a lone ``build_partially_linear``, places each variable's knots
+    with one ``np.quantile`` call, renders knot labels from them, and
+    computes only values, one ``series_rows`` call per variable and one row
+    per custom term and product, into one C-ordered n x K ``array``.  Two
+    knot levels that place one knot on tied data fill two equal columns.
+    ``design`` gathers a spec's W and Z from it with one ``take`` apiece,
+    so they come out C-ordered.  A spec that fails keeps its error, which
+    ``design`` raises for that spec alone, so designs asked for in turn
+    fail where lone builds would.  The specs of one table read their
+    variables at one length.
     """
 
     def __init__(self, data, specs):
         self._data = data
         self._layout = layout = _layout(tuple(specs))
-        self._vectors, self._series, self._knots = {}, {}, {}
+        self._vectors, self._placed, self._knots = {}, {}, {}
         self._labels = list(layout.labels)  # id -> label, templates rendered on first use
         outcomes = self._outcomes = [self._check(plan) for plan in layout.plans]
         ok = [i for i, outcome in enumerate(outcomes) if not isinstance(outcome, Exception)]
@@ -484,19 +510,12 @@ class ColumnTable:
             self._vectors[var] = arr
         return self._vectors[var]
 
-    def _series_of(self, var: str) -> SeriesColumns:
-        if var not in self._series:
-            self._series[var] = SeriesColumns(self._vectors[var], self._layout.counts[var],
-                                              var)
-        return self._series[var]
-
     def _knot_check(self, var: str, q: int):
+        """The error of ``var``'s q knots, or None; its knots of every count placed once."""
         if (var, q) not in self._knots:
-            try:
-                self._series_of(var).knots(q)
-                self._knots[var, q] = None
-            except (SeriesLMError, ValueError) as exc:
-                self._knots[var, q] = exc.with_traceback(None)  # its frames hold this table
+            if var not in self._placed:
+                self._placed[var] = _place_knots(self._vectors[var], self._layout.counts[var])
+            self._knots[var, q] = knot_problem(self._vectors[var], self._placed[var][q], var)
         return self._knots[var, q]
 
     def _render(self, ids):
@@ -507,8 +526,8 @@ class ColumnTable:
             if isinstance(label, str):
                 continue
             if label[0] == "tp":
-                q, k = self._layout.levels[label[1:]]
-                labels[i] = _knot_label(label[1], self._series[label[1]].placed[q][k - 1])
+                _, var, q, k = label
+                labels[i] = _knot_label(var, self._placed[var][q][k - 1])
             else:
                 labels[i] = "*".join(sorted((labels[label[1]], labels[label[2]])))
 
@@ -534,8 +553,8 @@ class ColumnTable:
                 return DesignError(f"variable {var!r} has inconsistent length")
             if kind == "basis" and not n:
                 return ValueError("input must contain at least one observation")
-            if kind == "knots" and self._knot_check(var, args[1]):
-                return self._knots[var, args[1]]
+            if kind == "knots" and (problem := self._knot_check(var, args[1])):
+                return problem
         if plan.labels is None:
             self._render(plan.templated)
             w_labels = tuple([self._labels[i] for i in plan.w])
@@ -549,42 +568,23 @@ class ColumnTable:
         return n, z, w_labels, z_labels
 
     def _fill(self, fill: tuple, n: int):
-        """Compute the columns of ``fill`` into ``self.array``; ``self._at`` maps ids to columns.
+        """Compute the rows ``fill`` lays out into ``self.array``; ``self._at`` maps ids to them.
 
-        The columns are computed as the rows of a K x n array, which is
-        transposed into the table once.  Each variable's powers and knot
-        columns are one ``SeriesColumns`` evaluation; each product is one
-        elementwise product of two rows, written in place.
+        The rows form a K x n array, which is transposed into the table once.
+        Each product is one elementwise product of two rows, written in place.
         """
-        series, terms, products = fill
-        blocks = []
-        for var, ids in series:
-            source = self._series_of(var)
-            keys = []
-            for i in ids:
-                key = self._layout.keys[i]
-                if key[0] == "pow":
-                    keys.append(key[2])
-                else:
-                    q, k = self._layout.levels[var, key[3]]
-                    keys.append((key[2], source.placed[q][k - 1]))
-            blocks.append((ids, keys, *source.evaluate(keys)))
-        width = 1 + sum(len(order) for *_, order, _ in blocks) + len(terms)
-        rows = np.empty((width + len(products), n))
-        at = self._at = np.zeros(len(self._layout.keys), dtype=np.intp)
+        series, terms, products, self._at, height = fill
+        rows = np.empty((height, n))
         rows[0] = 1.0
-        j = 1
-        for ids, keys, order, block in blocks:
-            rows[j:j + len(order)] = block
-            row = {key: j + c for c, key in enumerate(order)}
-            at[ids] = [row[key] for key in keys]
-            j += len(order)
-        for i, term in terms:
+        for var, j, top, blocks in series:
+            placed = self._placed.get(var)
+            series_rows(self._vectors[var], top,
+                        [(s, [placed[q][k - 1] for q, k in knots]) for s, knots in blocks],
+                        rows[j:])
+        for j, term in terms:
             rows[j] = math.prod(self._vectors[v] ** p for v, p in term)
-            at[i], j = j, j + 1
-        for i, first, second in products:
-            np.multiply(rows[at[first]], rows[at[second]], out=rows[j])
-            at[i], j = j, j + 1
+        for j, first, second in products:
+            np.multiply(rows[first], rows[second], out=rows[j])
         self.array = np.ascontiguousarray(rows.T)
 
 

@@ -147,6 +147,8 @@ class McConfig:
         for name in ("replications", "threads", "bootstrap_draws"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, not {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, not {self.seed}")
         if self.bootstrap_dist not in MULTIPLIERS:
             raise ValueError(f"bootstrap_dist must be one of {MULTIPLIERS}")
         known = {"families": tuple(_FAMILY_CODE), "variants": MC_VARIANTS,

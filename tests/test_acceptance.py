@@ -21,7 +21,7 @@ import pytest
 from scipy.stats import ncx2, norm
 
 import serieslm.bootstrap as bt
-from serieslm.basis import BasisSpec, build_basis, spline_basis
+from serieslm.basis import BasisSpec, build_basis
 from serieslm.design import simulation_design
 from serieslm.distributions import (
     chisq_cdf,
@@ -355,7 +355,7 @@ class TestCriterion6Properties:
 
     def test_spline_without_knots_is_power_basis(self):
         v = np.array([-2.0, -1.0, 0.0, 0.5, 1.0, 2.0])
-        knot_free = spline_basis(v, 4, 3, [])
+        knot_free = build_basis(v, BasisSpec("spline", 4, 3))
         power = build_basis(v, BasisSpec("power", 4))
         same = (knot_free[0] == power[0] == ("v", "v^2", "v^3")
                 and np.array_equal(knot_free[1], power[1])

@@ -6,10 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from serieslm.basis import (
     BasisSpec,
+    _knot_rows,
+    _place_knots,
     build_basis,
-    quantile_knots,
+    knot_level,
+    knot_problem,
     restricted_interaction_order,
-    spline_basis,
+    series_rows,
     tensor_interactions,
 )
 from serieslm.errors import DesignError
@@ -17,6 +20,16 @@ from serieslm.errors import DesignError
 
 def power(v, a, name="v"):
     return build_basis(v, BasisSpec("power", a), name=name)
+
+
+def spline(v, a, s=3, name="v"):
+    return build_basis(v, BasisSpec("spline", a, s), name=name)
+
+
+def knot_block(v, s, knots):
+    """The knot columns of order ``s`` at ``knots``, as ``series_rows`` writes them."""
+    v = np.asarray(v, dtype=float)
+    return series_rows(v, 0, [(s, list(knots))], np.empty((len(knots), v.size))).T
 
 
 def as_bits(block):
@@ -60,14 +73,15 @@ class TestIndependentOracle:
     def test_bitwise_equal_to_vandermonde_slice_and_where_form(self, seed, family, s,
                                                                extra, n):
         # a power basis of size a is np.vander(v, a)[:, 1:]; a spline adds one
-        # np.where(v > t, (v - t) ** s, 0.0) column per quantile knot
+        # np.where(v > t, (v - t) ** s, 0.0) column per knot, the empirical
+        # quantile at level k / (extra + 1)
         v = np.random.default_rng(seed).uniform(-2.0, 2.0, n)
         a = s + 1 + extra
         labels, got = build_basis(v, BasisSpec(family, a, s), name="x")
         if family == "power":
             want = np.vander(v, a, increasing=True)[:, 1:]
         else:
-            knots = quantile_knots(v, extra)
+            knots = np.quantile(v, np.arange(1, extra + 1) / (extra + 1.0))
             want = np.column_stack([np.vander(v, s + 1, increasing=True)[:, 1:]]
                                    + [np.where(v > t, (v - t) ** s, 0.0) for t in knots])
         assert got.shape == (n, a - 1) and len(labels) == a - 1
@@ -76,15 +90,18 @@ class TestIndependentOracle:
 
 class TestQuantileKnots:
     def test_median(self):
-        np.testing.assert_allclose(quantile_knots([1, 2, 3, 4, 5], 1), [3.0])
+        assert _place_knots(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), (1,)) == {1: [3.0]}
+        assert knot_level(1, 1) == 0.5 and knot_level(3, 2) == 0.5
 
     def test_empty(self):
-        assert quantile_knots([1, 2, 3, 4], 0).size == 0
+        # no knots: nothing to check, and a knot-free spline labels only powers
+        assert knot_problem(np.ones(4), [], "v") is None
+        assert spline([1.0, 2.0, 3.0, 4.0], 4)[0] == ("v", "v^2", "v^3")
 
     def test_uniform_sample(self):
         rng = np.random.default_rng(3)
         v = rng.random(1000)
-        knots = quantile_knots(v, 3)
+        knots = _place_knots(v, (3,))[3]
         # sort-based oracle with linear interpolation at levels k/4
         srt = np.sort(v)
         pos = (len(v) - 1) * np.array([0.25, 0.5, 0.75])
@@ -96,37 +113,47 @@ class TestQuantileKnots:
     def test_monotone_inside_range(self):
         rng = np.random.default_rng(4)
         v = rng.normal(size=500)
-        knots = quantile_knots(v, 7)
+        knots = _place_knots(v, (7,))[7]
         assert np.all(np.diff(knots) >= 0)
-        assert knots.min() >= v.min() and knots.max() <= v.max()
+        assert min(knots) >= v.min() and max(knots) <= v.max()
+        assert knot_problem(v, knots, "v") is None
+
+    def test_several_counts_in_one_call_equal_each_alone(self):
+        v = np.random.default_rng(6).normal(size=301)
+        together = _place_knots(v, (5, 1, 3, 3))
+        assert list(together) == [1, 3, 5]
+        for q, knots in together.items():
+            assert knots == _place_knots(v, (q,))[q]
+            assert knots == np.quantile(v, np.arange(1, q + 1) / (q + 1.0)).tolist()
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            quantile_knots([1.0, 2.0], -1)
-        with pytest.raises(ValueError):
-            quantile_knots(np.ones(10), 2)
-        with pytest.raises(ValueError):
-            quantile_knots([1.0, 2.0], 2)
+            BasisSpec("spline", 3)
+        assert isinstance(knot_problem(np.ones(10), _place_knots(np.ones(10), (2,))[2],
+                                       "v"), DesignError)
+        problem = knot_problem(np.array([1.0, 2.0]), [1.3, 1.6], "v")
+        assert isinstance(problem, ValueError)
+        assert str(problem) == "need more than 2 observations to place 2 knots"
 
 
 class TestSplineBasis:
     def test_no_knots_equals_power(self):
         v = np.array([-2.0, -1.0, 0.0, 1.0, 3.0])
-        labels, block = spline_basis(v, 4, 3, [])
+        labels, block = spline(v, 4)
         assert labels == power(v, 4)[0]
         assert np.array_equal(as_bits(block), as_bits(power(v, 4)[1]))
 
     def test_truncated_term_by_hand(self):
-        labels, b = spline_basis([0.0, 2.0], a=5, s=3, knots=[1.0])
+        # the median of {0, 1, 2} is the one knot
+        labels, b = spline([0.0, 1.0, 2.0], 5)
         assert labels == ("v", "v^2", "v^3", "v_tp1.0")
-        np.testing.assert_allclose(b[0], [0, 0, 0, 0])
-        np.testing.assert_allclose(b[1], [2, 4, 8, 1])
+        np.testing.assert_allclose(b, [[0, 0, 0, 0], [1, 1, 1, 0], [2, 4, 8, 1]])
 
     def test_pointwise_oracle(self):
         rng = np.random.default_rng(11)
         v = rng.uniform(-2.0, 2.0, 200)
-        knots = quantile_knots(v, 2)
-        _, b = spline_basis(v, 6, 3, knots)
+        knots = np.quantile(v, [1 / 3, 2 / 3])
+        _, b = spline(v, 6)
         for i, x in enumerate(v):
             row = [x, x ** 2, x ** 3]
             for t in knots:
@@ -145,37 +172,52 @@ class TestSplineBasis:
         rng = np.random.default_rng(seed)
         v = shift + scale * rng.uniform(-2.0, 2.0, n)
         v[: n // 3] = rng.choice(v, n // 3)
-        knots = (np.sort(rng.choice(v, n_knots)) if at_points
-                 else quantile_knots(v, n_knots))
-        got = spline_basis(v, s + 1 + n_knots, s, knots)[1][:, s:]
+        knots = (np.sort(rng.choice(v, n_knots)).tolist() if at_points
+                 else _place_knots(v, (n_knots,))[n_knots])
         want = np.column_stack([np.where(v > t, (v - t) ** s, 0.0) for t in knots])
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        for got in (knot_block(v, s, knots), _knot_rows(v, np.array(knots), s).T):
+            assert np.array_equal(as_bits(got), as_bits(want))
 
     @pytest.mark.parametrize("s", [1, 2, 3])
     @pytest.mark.parametrize("t", [0.0, -0.0])
     def test_knot_column_at_signed_zero(self, s, t):
         v = np.array([-0.0, 0.0, -1.0, 1.0])
-        got = spline_basis(v, s + 2, s, [t])[1][:, -1]
+        got = knot_block(v, s, [t])[:, 0]
         want = np.where(v > t, (v - t) ** s, 0.0)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert np.array_equal(got, [0.0, 0.0, 0.0, 1.0])
 
     def test_knot_count_mismatch(self):
-        with pytest.raises(ValueError):
-            spline_basis([0.0, 1.0, 2.0], a=6, s=3, knots=[0.5])
+        # as many knots as observations, or more, cannot be placed
+        with pytest.raises(ValueError, match="need more than 2 observations"):
+            spline([0.0, 1.0], a=6)
 
     def test_decreasing_knots_rejected(self):
-        with pytest.raises(ValueError):
-            spline_basis(np.linspace(0, 1, 9), a=6, s=3, knots=[0.7, 0.3])
+        problem = knot_problem(np.linspace(0, 1, 9), [0.7, 0.3], "x")
+        assert isinstance(problem, DesignError) and "'x'" in str(problem)
 
     def test_non_finite_input_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
-            spline_basis([1.0, np.inf, 2.0], a=4, s=3)
+            spline([1.0, np.inf, 2.0], a=4)
 
     def test_order_zero_only_without_knots(self):
-        assert spline_basis([1.0, 2.0], a=1, s=0)[1].shape == (2, 0)
+        # order 0 is the knot-free basis of a = 1, which only the power family gives
+        assert power([1.0, 2.0], 1)[1].shape == (2, 0)
         with pytest.raises(ValueError, match="spline order"):
-            spline_basis([1.0, 2.0, 3.0], a=2, s=0, knots=[2.0])
+            BasisSpec("spline", 2, spline_order=0)
+
+    def test_rows_written_in_place_of_a_larger_buffer(self):
+        # powers up to v^top, then each order's knot block, into the rows
+        # asked for, bitwise the lone basis; the other rows keep their values
+        v = np.random.default_rng(8).uniform(-2.0, 2.0, 50)
+        knots = _place_knots(v, (2, 3))
+        out = np.full((12, v.size), 7.0)
+        rows = series_rows(v, 5, [(3, knots[2]), (2, knots[3])], out[2:])
+        assert rows.base is out and rows.shape == (10, v.size)
+        assert np.array_equal(out[[0, 1]], np.full((2, v.size), 7.0))
+        assert np.array_equal(as_bits(out[2:7].T), as_bits(power(v, 6)[1]))
+        assert np.array_equal(as_bits(out[[2, 3, 4, 7, 8]].T), as_bits(spline(v, 6)[1]))
+        assert np.array_equal(as_bits(out[9:].T), as_bits(knot_block(v, 2, knots[3])))
 
     def test_knot_labels_are_plain_floats(self):
         # numpy 2 prints a float64 scalar as np.float64(1.0); a label must not

@@ -151,6 +151,24 @@ class TestLoadCsv:
         assert ("line 3, column 'x2': missing or non-finite value"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("command", ["test", "tune"])
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path, command):
+        # Excel's "CSV UTF-8" starts the file with one; it used to name the
+        # first column '\ufeffy', so `--y y` was "not in dataset"
+        plain = write_sim_csv(tmp_path / "d.csv")
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert list(load_csv(marked).columns) == ["y", "x1", "x2"]
+        args = ({"test": ["--config", str(sim_config(tmp_path / "c.json"))],
+                 "tune": ["--y", "y", "--x1", "x1", "--x2", "x2"]}[command])
+        results = []
+        for data in (plain, marked):
+            out = tmp_path / f"{data.stem}.json"
+            assert main([command, "--data", str(data), "--out", str(out)] + args) == 0
+            results.append(json.loads(out.read_text()))
+            del results[-1]["source"]
+        assert results[0] == results[1]
+
     def test_gasoline_shaped_file(self, tmp_path):
         rng = np.random.default_rng(0)
         cols = ["y", "price", "income", "age", "drivers", "hhsize",
@@ -959,6 +977,44 @@ class TestCmdSimulate:
         assert main(["simulate", "--reps", "2", "--out", str(tmp_path / "x")]
                     + flags) == 2
         assert named in capsys.readouterr().err and started == []
+
+    def test_negative_seed_is_named_before_any_cell(self, tmp_path, capsys, monkeypatch):
+        # numpy used to reject it inside the first cell, without naming it
+        started = []
+        monkeypatch.setattr(cli, "run_mc", started.append)
+        assert main(["simulate", "--reps", "2", "--seed", "-1",
+                     "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == "input error: seed must be >= 0, not -1\n"
+        assert started == []
+
+    def test_flag_defaults_reach_the_config(self, tmp_path, monkeypatch):
+        started = []
+
+        def stop(config):
+            started.append(config)
+            raise InputError("stopped")
+
+        monkeypatch.setattr(cli, "run_mc", stop)
+        assert main(["simulate", "--reps", "2", "--out", str(tmp_path / "x")]) == 2
+        assert [(c.seed, c.bootstrap_dist) for c in started] == [(0, "rademacher")]
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize("command", ["test", "tune", "simulate"])
+    def test_exits_2_naming_the_path(self, tmp_path, capsys, command):
+        # it used to raise FileNotFoundError with a traceback and exit 1,
+        # `simulate` after its whole run
+        data = str(write_sim_csv(tmp_path / "d.csv"))
+        out = tmp_path / "missing" / "out"
+        args = {"test": ["--data", data, "--config", str(sim_config(tmp_path / "c.json"))],
+                "tune": ["--data", data, "--y", "y", "--x1", "x1", "--x2", "x2"],
+                "simulate": ["--reps", "2", "--n", "120", "--a-min", "4", "--a-max", "4",
+                             "--hypotheses", "null"]}[command]
+        assert main([command, "--out", str(out)] + args) == 2
+        err = capsys.readouterr().err
+        written = f"{out}.csv" if command == "simulate" else str(out)
+        assert err == f"input error: cannot write {written}: No such file or directory\n"
+        assert "Traceback" not in err
 
 
 class TestHelp:

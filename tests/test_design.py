@@ -247,6 +247,26 @@ class TestSharedBasisTable:
         with pytest.raises(DesignError, match="variable 'u' has inconsistent length"):
             table.design(other)
 
+    def test_row_layout_is_planned_once_per_passing_specs(self):
+        # tied data fill the rows that continuous data fill, from one row map:
+        # two knot levels that place one knot there give two equal columns,
+        # and every design still equals the column-by-column oracle
+        _, x1, x2 = gen_sample(DgpSpec(240, "alternative", seed=11))
+        specs = [simulation_spec(a, "spline") for a in range(4, 10)]
+        smooth = ColumnTable({"x1": x1, "x2": x2}, specs)
+        # (+ 0.0 clears signed zeros, whose knot's sign depends on the counts
+        # placed with it)
+        data = {"x1": x1, "x2": np.round(4.0 * x2) / 4.0 + 0.0}
+        tied = ColumnTable(data, specs)
+        assert tied._at is smooth._at and tied.array.shape == smooth.array.shape
+        columns = tied.array.T.view(np.int64)
+        assert len(np.unique(columns, axis=0)) < len(columns)
+        for spec in specs:
+            got, want = tied.design(spec), per_column_design(data, spec)
+            assert (got.w_labels, got.z_labels) == want[2:]
+            assert np.array_equal(got.w.view(np.int64), want[0].view(np.int64))
+            assert np.array_equal(got.z.view(np.int64), want[1].view(np.int64))
+
 
 class TestBuildPartiallyLinear:
     def test_additive_only_higher_powers(self):

@@ -183,6 +183,11 @@ class TestRunMc:
         with pytest.raises(ValueError, match=named):
             tiny_config(**kwargs)
 
+    def test_negative_seed_checked_when_built(self):
+        # numpy's SeedSequence would reject it in the first cell, unnamed
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, not -1$"):
+            tiny_config(seed=-1)
+
     def test_mean_statistic_recorded(self):
         report = run_mc(tiny_config(replications=10, hypotheses=("null",)))
         assert np.isfinite(report.mean_statistic("ols_short", "power", 120, 4,
