@@ -18,7 +18,7 @@ from .design import (
     screen_collinear,
     simulation_design,
 )
-from .distributions import chisq_cdf, chisq_quantile, normal_cdf, normal_quantile
+from .distributions import chisq_cdf, chisq_quantile, normal_quantile
 from .errors import (
     DesignError,
     ExactFitError,
@@ -69,7 +69,6 @@ __all__ = [
     "emit_report",
     "gen_sample",
     "lm_statistic",
-    "normal_cdf",
     "normal_quantile",
     "ols_fit",
     "residualize_block",

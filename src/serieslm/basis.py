@@ -103,12 +103,12 @@ def _place_knots(v: np.ndarray, counts) -> dict:
     The knots of a count sit at the empirical quantiles of ``v`` (linear
     interpolation between order statistics) at their ``knot_level``.  Each
     quantile depends on its own level only, so the knots of a count equal
-    those of a call for that count alone; only a zero knot on a sample with
-    both signed zeros may take either sign.
+    those of a call for that count alone, and ``+ 0.0`` makes a zero knot
+    +0.0 whichever signed zero the partition left there.
     """
     counts = sorted(set(counts))
-    values = np.quantile(v, [knot_level(q, k) for q in counts
-                             for k in range(1, q + 1)]).tolist()
+    values = (np.quantile(v, [knot_level(q, k) for q in counts
+                              for k in range(1, q + 1)]) + 0.0).tolist()
     ends = np.cumsum(counts).tolist()
     return {q: values[end - q:end] for q, end in zip(counts, ends)}
 

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -133,6 +135,24 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _check_writable(path):
+    """Refuse an output path that cannot be written, before any work and
+    without creating it: a directory, or one whose directory is missing or
+    not writable."""
+    if path is None:
+        return
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(folder):
+        code = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
+    elif not os.access(folder, os.W_OK | os.X_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise InputError(f"cannot write {path}: {os.strerror(code)}")
+
+
 def _write_json(path, payload):
     if path is None:
         return
@@ -171,6 +191,7 @@ def cmd_test(args) -> int:
         raise InputError(f"bootstrap draws must be >= 0 (0 disables), not {args.bootstrap}")
     if args.bootstrap and args.variant != "ols_short":
         raise InputError("the wild bootstrap is defined for the ols_short variant only")
+    _check_writable(args.out)
 
     dataset = load_csv(args.data)
     if y_name not in dataset:
@@ -239,6 +260,7 @@ def cmd_test(args) -> int:
 def cmd_tune(args) -> int:
     grid = TuningGrid(tuple(range(args.a_min, args.a_max + 1)), args.c)
     levels = check_alphas(args.alpha or (0.05,))
+    _check_writable(args.out)
     dataset = load_csv(args.data)
     for name in (args.y, args.x1, args.x2):
         if name not in dataset:
@@ -298,6 +320,10 @@ def cmd_simulate(args) -> int:
         bootstrap_dist=args.dist,
         threads=args.threads,
     )
+    csv_path = f"{args.out}.csv"
+    plot_path = f"{args.out}.dat"
+    for path in (csv_path, plot_path):
+        _check_writable(path)
     if "wild_bootstrap" in config.variants:
         _note_unreachable("simulate", config.bootstrap_draws, 0, config.alphas)
     report = run_mc(config)
@@ -308,8 +334,6 @@ def cmd_simulate(args) -> int:
         print(f"simulate: --threads {config.threads} {how}: numpy's BLAS runs "
               f"{blas_threads} threads per process on {cores} usable cores",
               file=sys.stderr)
-    csv_path = f"{args.out}.csv"
-    plot_path = f"{args.out}.dat"
     try:
         emit_report(report, csv_path, plot_path)
     except OSError as exc:

@@ -345,11 +345,11 @@ class _Layout:
         return ids
 
     def _product(self, i1: int, i2: int) -> int:
+        if self.keys[i2][1:] < self.keys[i1][1:]:  # by variable, as a custom term's factors
+            i1, i2 = i2, i1
         l1, l2 = self.labels[i1], self.labels[i2]
-        label = ("*", i1, i2)
-        if isinstance(l1, str) and isinstance(l2, str):
-            label = "*".join(sorted((l1, l2)))
-        return self._id(("prod", min(i1, i2), max(i1, i2)), label)
+        label = f"{l1}*{l2}" if isinstance(l1, str) and isinstance(l2, str) else ("*", i1, i2)
+        return self._id(("prod", i1, i2), label)
 
     def _plan(self, spec: ModelSpec) -> _SpecPlan:
         steps, w = [], []
@@ -529,7 +529,7 @@ class ColumnTable:
                 _, var, q, k = label
                 labels[i] = _knot_label(var, self._placed[var][q][k - 1])
             else:
-                labels[i] = "*".join(sorted((labels[label[1]], labels[label[2]])))
+                labels[i] = f"{labels[label[1]]}*{labels[label[2]]}"
 
     def _check(self, plan: _SpecPlan):
         """(n, z ids, W labels, Z labels) of one spec, or the error a lone build raises."""

@@ -3,8 +3,9 @@
 The normal quantile is Wichura's PPND16 rational approximation (Algorithm
 AS 241), kept in-package because it defines the simulation DGP's normal
 variates: ``scipy.special.ndtri`` agrees with it to ~1e-15 but is not bitwise
-equal, so swapping it would move every Monte Carlo stream.  The cdfs, their
-upper tails and the chi-square quantile come from ``scipy.special``.
+equal, so swapping it would move every Monte Carlo stream.  The normal upper
+tail and the chi-square cdf, upper tail and quantile come from
+``scipy.special``.
 P-values use the upper-tail forms, which keep full relative accuracy far in
 the tail, where ``1 - cdf`` cancels to zero.
 """
@@ -15,7 +16,6 @@ import numpy as np
 import scipy.special
 
 __all__ = [
-    "normal_cdf",
     "normal_sf",
     "normal_quantile",
     "chisq_cdf",
@@ -105,21 +105,12 @@ def _scalar_or_array(out):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _finite(x, what):
-    arr = np.asarray(x, dtype=float)
-    if np.any(~np.isfinite(arr)):
-        raise ValueError(f"{what} requires finite x")
-    return arr
-
-
-def normal_cdf(x):
-    """Standard normal cdf; scalar or array."""
-    return _scalar_or_array(scipy.special.ndtr(_finite(x, "normal_cdf")))
-
-
 def normal_sf(x):
     """Standard normal upper tail 1 - cdf, without cancellation; scalar or array."""
-    return _scalar_or_array(scipy.special.ndtr(-_finite(x, "normal_sf")))
+    arr = np.asarray(x, dtype=float)
+    if np.any(~np.isfinite(arr)):
+        raise ValueError("normal_sf requires finite x")
+    return _scalar_or_array(scipy.special.ndtr(-arr))
 
 
 def _chisq_args(x, df, what):

@@ -25,7 +25,7 @@ from .errors import RankDeficiencyError
 
 __all__ = ["FitResult", "ols_fit", "annihilate", "residualize_block"]
 
-# Relative pivot threshold below which a design counts as rank deficient.
+# A column is rank deficient when |R_jj| is at most this fraction of its norm.
 RANK_RTOL = 1e-12
 
 _GEQP3, _ORGQR, _TRTRS = scipy.linalg.get_lapack_funcs(("geqp3", "orgqr", "trtrs"),
@@ -115,18 +115,17 @@ def ols_fit(w, y, column_labels=None) -> FitResult:
     piv -= 1  # geqp3 numbers columns from 1
     r = qr[:m].copy()
     diag = np.abs(np.diag(r))
-    if diag[0] == 0.0 or np.any(diag < RANK_RTOL * diag[0]):
-        bad = np.where(diag < RANK_RTOL * max(diag[0], np.finfo(float).tiny))[0]
-        cols = piv[bad] if bad.size else piv
-        names = (
-            [column_labels[j] for j in cols]
-            if column_labels is not None
-            else [f"column {j}" for j in cols]
-        )
-        raise RankDeficiencyError(
-            f"design is rank deficient; offending columns: {', '.join(map(str, names))}",
-            columns=list(cols),
-        )
+    # |R_jj| is column piv[j]'s distance from the span of the columns pivoted
+    # before it; negligible against the column's own norm, whatever its units,
+    # means rank deficient.  No norm exceeds |R_00|, hence the cheap test first.
+    if np.any(diag <= RANK_RTOL * diag[0]):
+        cols = piv[diag <= RANK_RTOL * np.linalg.norm(w, axis=0)[piv]]
+        if cols.size:
+            names = (column_labels if column_labels is not None
+                     else [f"column {j}" for j in range(m)])
+            raise RankDeficiencyError("design is rank deficient; offending columns: "
+                                      + ", ".join(str(names[j]) for j in cols),
+                                      columns=list(cols))
 
     q, _, info = _ORGQR(qr, tau, lwork=lwork_gqr, overwrite_a=1)
     if info < 0:

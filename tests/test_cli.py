@@ -999,12 +999,48 @@ class TestCmdSimulate:
         assert [(c.seed, c.bootstrap_dist) for c in started] == [(0, "rademacher")]
 
 
+class TestUnits:
+    """`test` and `tune` on the `write_sim_csv` data with x1 and x2 rescaled.
+
+    Each used to exit 3, naming columns that are not rank deficient (x1 and
+    the constant, or the powers of x2), because the rank rule judged every
+    pivot against the largest one.
+    """
+
+    ARGS = {"test": lambda tmp_path: ["--config", str(sim_config(tmp_path / "c.json"))],
+            "tune": lambda tmp_path: ["--y", "y", "--x1", "x1", "--x2", "x2"]}
+    KEYS = {"test": ("r_n", "dropped_columns", "reject_normal", "reject_chisq"),
+            "tune": ("selected_a", "selected_r", "r_min", "reject")}
+
+    def run(self, tmp_path, command, scales):
+        y, x1, x2 = gen_sample(DgpSpec(300, "null", seed=3))
+        name = "_".join(map(repr, scales))
+        data = write_columns(tmp_path / f"{name}.csv", y=y, x1=x1 * scales[0],
+                             x2=x2 * scales[1])
+        out = tmp_path / f"{name}.json"
+        assert main([command, "--data", str(data), "--out", str(out)]
+                    + self.ARGS[command](tmp_path)) == 0
+        return json.loads(out.read_text())
+
+    @pytest.mark.parametrize("scales", [(1.0, 1e3), (1e-3, 1e3), (1e6, 1e-6)])
+    @pytest.mark.parametrize("command", ["test", "tune"])
+    def test_rescaled_columns_give_the_unit_scale_result(self, tmp_path, command, scales):
+        unit = self.run(tmp_path, command, (1.0, 1.0))
+        scaled = self.run(tmp_path, command, scales)
+        assert scaled["statistic"] == pytest.approx(unit["statistic"], rel=1e-9)
+        assert [scaled[key] for key in self.KEYS[command]] == [
+            unit[key] for key in self.KEYS[command]]
+
+
 class TestUnwritableOut:
     @pytest.mark.parametrize("command", ["test", "tune", "simulate"])
-    def test_exits_2_naming_the_path(self, tmp_path, capsys, command):
-        # it used to raise FileNotFoundError with a traceback and exit 1,
-        # `simulate` after its whole run
+    def test_exits_2_naming_the_path(self, tmp_path, capsys, monkeypatch, command):
+        # it used to raise FileNotFoundError with a traceback and exit 1, and
+        # then only after the work: `simulate` after its whole run
         data = str(write_sim_csv(tmp_path / "d.csv"))
+        started = []
+        monkeypatch.setattr(cli, "run_mc", started.append)
+        monkeypatch.setattr(cli, "load_csv", started.append)
         out = tmp_path / "missing" / "out"
         args = {"test": ["--data", data, "--config", str(sim_config(tmp_path / "c.json"))],
                 "tune": ["--data", data, "--y", "y", "--x1", "x1", "--x2", "x2"],
@@ -1015,6 +1051,7 @@ class TestUnwritableOut:
         written = f"{out}.csv" if command == "simulate" else str(out)
         assert err == f"input error: cannot write {written}: No such file or directory\n"
         assert "Traceback" not in err
+        assert started == []
 
 
 class TestHelp:

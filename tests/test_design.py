@@ -247,6 +247,21 @@ class TestSharedBasisTable:
         with pytest.raises(DesignError, match="variable 'u' has inconsistent length"):
             table.design(other)
 
+    def test_zero_knot_label_does_not_depend_on_the_table(self):
+        # x2 holds -0.0 and +0.0; the grid's one quantile call used to place
+        # the zero knot as -0.0 where a lone build placed +0.0
+        _, x1, x2 = gen_sample(DgpSpec(240, "alternative", seed=11))
+        x2 = np.round(4.0 * x2) / 4.0
+        table = ColumnTable({"x1": x1, "x2": x2}, [simulation_spec(a, "spline")
+                                                   for a in range(4, 10)])
+        labels = set()
+        for a in range(4, 10):
+            got, alone = table.design(simulation_spec(a, "spline")), simulation_design(
+                x1, x2, a, "spline")
+            assert (got.w_labels, got.z_labels) == (alone.w_labels, alone.z_labels)
+            labels.update(got.w_labels + got.z_labels)
+        assert "x2_tp0.0" in labels
+
     def test_row_layout_is_planned_once_per_passing_specs(self):
         # tied data fill the rows that continuous data fill, from one row map:
         # two knot levels that place one knot there give two equal columns,
@@ -254,9 +269,7 @@ class TestSharedBasisTable:
         _, x1, x2 = gen_sample(DgpSpec(240, "alternative", seed=11))
         specs = [simulation_spec(a, "spline") for a in range(4, 10)]
         smooth = ColumnTable({"x1": x1, "x2": x2}, specs)
-        # (+ 0.0 clears signed zeros, whose knot's sign depends on the counts
-        # placed with it)
-        data = {"x1": x1, "x2": np.round(4.0 * x2) / 4.0 + 0.0}
+        data = {"x1": x1, "x2": np.round(4.0 * x2) / 4.0}
         tied = ColumnTable(data, specs)
         assert tied._at is smooth._at and tied.array.shape == smooth.array.shape
         columns = tied.array.T.view(np.int64)
@@ -323,6 +336,21 @@ class TestBuildPartiallyLinear:
         pair = build_partially_linear({"x1": x1, "x2": x2}, spec)
         assert pair.z_labels == ("x1^2", "x1*x2")
         np.testing.assert_allclose(pair.z[:, 1], x1 * x2)
+
+    def test_tensor_products_order_factors_by_variable(self):
+        # as strings "a1" sorts before "a^2" and "a_tp...", as variables "a"
+        # sorts before "a1", which is the order of a custom term's factors
+        rng = np.random.default_rng(5)
+        data = {"a": rng.normal(size=80), "a1": rng.normal(size=80)}
+        tensor = ModelSpec(("a", "a1"), (), AlternativeSpec(
+            "full_tensor", (("a", BasisSpec("spline", 5)), ("a1", BasisSpec("power", 3)))))
+        custom = ModelSpec(("a", "a1"), (), AlternativeSpec("custom", custom_terms=("a1*a^2",)))
+        for design in (lambda spec: build_partially_linear(data, spec),
+                       ColumnTable(data, [tensor, custom]).design):
+            products = [label for label in design(tensor).z_labels if "*" in label]
+            assert len(products) == 8 and "a^2*a1" in products
+            assert all(re.fullmatch(r"a(\^\d|_tp\S+)?\*a1(\^2)?", p) for p in products)
+            assert design(custom).z_labels == ("a^2*a1",)
 
     def test_custom_terms_dedup_against_series_columns(self, xy):
         # "x2^2" is a column of the null's series; the last two terms are one
@@ -464,9 +492,12 @@ def per_column_design(data, spec):
     else:
         terms = [t for v, bspec in alt.basis for t in own(v, bspec)]
     if alt.recipe.endswith("_tensor"):
-        bases = [own(v, bspec, alt.recipe == "restricted_tensor") for v, bspec in alt.basis]
-        for b1, b2 in combinations(bases, 2):
-            terms += [("*".join(sorted((l1, l2))), c1 * c2) for l1, c1 in b1 for l2, c2 in b2]
+        bases = [(v, own(v, bspec, alt.recipe == "restricted_tensor"))
+                 for v, bspec in alt.basis]
+        # a product's factors in variable order (``models`` lists each variable once)
+        for (v1, b1), (v2, b2) in combinations(bases, 2):
+            terms += [(f"{l1}*{l2}" if v1 < v2 else f"{l2}*{l1}", c1 * c2)
+                      for l1, c1 in b1 for l2, c2 in b2]
     z = {}
     for label, c in terms:
         if label not in w:
