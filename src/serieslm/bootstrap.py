@@ -10,16 +10,18 @@ statistic.  Draw b uses the substream
 ``SeedSequence(seed, spawn_key=(b,))`` of a Philox counter-based generator,
 so results are reproducible independently of how draws are partitioned.
 
-The draws run in blocks of ``_BLOCK``.  A block's synthetic errors are
-annihilated in place as one n x block matrix, its scores Zt'e* come from one
-product, and the squared residuals S are floored per column into the same
-matrix.  The upper triangles of all the block's inner matrices
-Zt' diag(s_b) Zt are the rows of K' S, where
-K is the Khatri-Rao (column-wise Kronecker) product of Zt with itself
-restricted to i <= j: column (i, j) of K is zt_i * zt_j.  K' is built a
-panel of rows at a time, and each panel is one well-shaped product with all
-the block's draws.  Each draw is then factored on its own, so a singular
-draw costs only its own statistic (NaN).
+The draws run in blocks of ``_BLOCK``, one row per draw throughout.  A
+block's synthetic errors are annihilated in place as one n x block matrix,
+its scores e*'Zt come from one product, and the squared residuals S are
+floored per draw into the same matrix.  The upper triangles of all the
+block's inner matrices Zt' diag(s_b) Zt are the rows of S'K, where K is the
+Khatri-Rao (column-wise Kronecker) product of Zt with itself restricted to
+i <= j: column (i, j) of K is zt_i * zt_j.  K' is built a panel of rows at a
+time, and each panel is one well-shaped product with all the block's draws.
+Row b, in ``np.triu_indices`` order, is the lower triangle of draw b's
+matrix packed column by column, so each draw is factored straight from its
+row by LAPACK's ``pptrf`` and solved by BLAS's ``tpsv``; a singular draw
+costs only its own statistic (NaN).
 """
 
 from __future__ import annotations
@@ -28,9 +30,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import SingularMomentMatrixError
-from .lmtest import _quadform, floored_squares, standardize
+from .lmtest import _require_finite, floored_squares, standardize
 from .regress import FitResult, annihilate
 
 __all__ = ["MULTIPLIERS", "draw_multipliers", "wild_bootstrap", "BootstrapResult"]
@@ -52,6 +55,10 @@ MAX_FAILURE_FRAC = 0.01
 # 7.4 MB at n = 1250, and at 13.0 MB at n = 5000, B = 399.
 _BLOCK = 100
 _PANEL_SIZE = 1 << 18
+
+# LAPACK and BLAS called directly on each draw's packed triangle
+_PPTRF, = scipy.linalg.get_lapack_funcs(("pptrf",), dtype=np.float64)
+_TPSV, = scipy.linalg.get_blas_funcs(("tpsv",), dtype=np.float64)
 
 
 def draw_multipliers(dist: str, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -96,16 +103,18 @@ def unreachable_levels(valid_draws: int, levels):
 
 
 def _packed_grams(zt_rows: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Upper triangles of every draw's Zt' diag(s_b) Zt, one column per draw.
+    """Upper triangles of every draw's Zt' diag(s_b) Zt, one row per draw.
 
-    Row (i, j) of the result, i <= j in ``np.triu_indices`` order, is row
+    Column (i, j) of the result, i <= j in ``np.triu_indices`` order, is row
     (i, j) of the Khatri-Rao matrix K' (rows zt_i * zt_j, with ``zt_rows``
-    = Zt') times the n x draws weights ``s``.  K' is built a panel of rows at a
-    time into one buffer, and each panel is one product with every draw.
+    = Zt') applied to the n x draws weights ``s``.  K' is built a panel of
+    rows at a time into one buffer, and each panel is one product with every
+    draw.  Row b is then the lower triangle of draw b's matrix packed column
+    by column, as LAPACK's ``pptrf`` takes it.
     """
     r_n, n = zt_rows.shape
     total = r_n * (r_n + 1) // 2
-    packed = np.empty((total, s.shape[1]))
+    packed = np.empty((s.shape[1], total))
     panel = np.empty((min(max(_PANEL_SIZE // n, 1), total), n))
     done = fill = 0
     for i in range(r_n):
@@ -116,38 +125,47 @@ def _packed_grams(zt_rows: np.ndarray, s: np.ndarray) -> np.ndarray:
             j += k
             fill += k
             if fill == len(panel) or done + fill == total:
-                np.matmul(panel[:fill], s, out=packed[done:done + fill])
+                np.matmul(s.T, panel[:fill].T, out=packed[:, done:done + fill])
                 done += fill
                 fill = 0
     return packed
+
+
+def _packed_quadform(ap: np.ndarray, u: np.ndarray) -> float:
+    """u' A^{-1} u for the A whose lower triangle ``ap`` packs; ``ap`` and ``u`` are overwritten."""
+    r_n = u.shape[0]
+    factor, info = _PPTRF(r_n, ap, lower=1, overwrite_ap=1)
+    if info > 0:
+        raise SingularMomentMatrixError("restriction moment matrix is singular or indefinite")
+    # the factor's diagonal is positive, so the triangular solve cannot fail
+    v = _TPSV(r_n, factor, u, lower=1, overwrite_x=1)
+    return float(v @ v)
 
 
 def _block_statistics(fit: FitResult, zt_rows: np.ndarray, dist: str, seed: int,
                       draws: range) -> np.ndarray:
     """Standardized statistics of the given draws, NaN where the inner matrix is singular."""
     r_n, n = zt_rows.shape
-    e = np.empty((n, len(draws)))
+    et = np.empty((len(draws), n))
     for j, b in enumerate(draws):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(
             seed, spawn_key=(b,))))
-        e[:, j] = draw_multipliers(dist, n, rng)
-    e *= fit.residuals[:, None]
+        et[j] = draw_multipliers(dist, n, rng)
+    et *= fit.residuals
+    e = et.T
     annihilate(fit, e, out=e)
-    u = zt_rows @ e
+    u = e.T @ zt_rows.T
     s = floored_squares(e, out=e)[0]
-    upper = np.triu_indices(r_n)
     packed = _packed_grams(zt_rows, s)
-    inner = np.zeros((r_n, r_n))
-    t_star = np.empty(len(draws))
+    _require_finite(packed)
+    _require_finite(u)
+    stats = np.empty(len(draws))
     for j in range(len(draws)):
-        inner[upper] = packed[:, j]
         try:
-            # the transpose hands the filled triangle to the lower Cholesky factor
-            stat = _quadform(inner.T, u[:, j], "restriction moment matrix")
+            stats[j] = _packed_quadform(packed[j], u[j])
         except SingularMomentMatrixError:
-            stat = math.nan
-        t_star[j] = standardize(stat, r_n)
-    return t_star
+            stats[j] = math.nan
+    return standardize(stats, r_n)
 
 
 def wild_bootstrap(fit: FitResult, z_resid, t_observed: float, n_draws: int = 399,

@@ -58,6 +58,27 @@ class Dataset:
         return name in self.columns
 
 
+def _bad_cell(path, names, rows, linenos, lineno=None, row=None) -> InputError:
+    """The error of the first bad cell in row-major order: a non-finite value
+    among the parsed ``rows``, else the field count or first bad cell of ``row``."""
+    bad = np.argwhere(~np.isfinite(np.array(rows, dtype=float))) if rows else ()
+    if len(bad):
+        lineno, j = linenos[bad[0][0]], bad[0][1]
+    elif len(row) != len(names):
+        return InputError(f"{path}: line {lineno} has {len(row)} fields, expected {len(names)}")
+    else:
+        for j, cell in enumerate(row):
+            try:
+                value = float(cell)
+            except ValueError:
+                return InputError(f"{path}: line {lineno}, column {names[j]!r}: "
+                                  f"non-numeric value {cell!r}")
+            if not math.isfinite(value):
+                break
+    return InputError(f"{path}: line {lineno}, column {names[j]!r}: "
+                      "missing or non-finite value")
+
+
 def load_csv(path) -> Dataset:
     """Strict CSV reader: header row, comma-separated, every cell numeric."""
     try:
@@ -74,32 +95,25 @@ def load_csv(path) -> Dataset:
         names = [h.strip() for h in header]
         if len(set(names)) != len(names):
             raise InputError(f"{path}: duplicate column names")
-        data = [[] for _ in names]
+        rows, linenos = [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != len(names):
-                raise InputError(
-                    f"{path}: line {lineno} has {len(row)} fields, expected {len(names)}"
-                )
-            for j, cell in enumerate(row):
-                try:
-                    val = float(cell)
-                except ValueError:
-                    raise InputError(
-                        f"{path}: line {lineno}, column {names[j]!r}: "
-                        f"non-numeric value {cell!r}"
-                    ) from None
-                if not math.isfinite(val):
-                    raise InputError(
-                        f"{path}: line {lineno}, column {names[j]!r}: "
-                        "missing or non-finite value"
-                    )
-                data[j].append(val)
-    n = len(data[0]) if data else 0
+            try:
+                values = [float(cell) for cell in row]
+            except ValueError:
+                values = None
+            if values is None or len(values) != len(names):
+                raise _bad_cell(path, names, rows, linenos, lineno, row)
+            rows.append(values)
+            linenos.append(lineno)
+    table = np.array(rows, dtype=float)
+    if not np.isfinite(table).all():
+        raise _bad_cell(path, names, rows, linenos)
+    n = len(rows)
     if n < 2:
         raise InputError(f"{path}: need at least 2 data rows, found {n}")
-    cols = {name: np.asarray(vals) for name, vals in zip(names, data)}
+    cols = dict(zip(names, np.ascontiguousarray(table.T)))
     return Dataset(columns=cols, n=n, source=str(path))
 
 

@@ -571,7 +571,8 @@ class ColumnTable:
         """Compute the rows ``fill`` lays out into ``self.array``; ``self._at`` maps ids to them.
 
         The rows form a K x n array, which is transposed into the table once.
-        Each product is one elementwise product of two rows, written in place.
+        Each power of a variable that custom terms share is computed once, and
+        each product is one elementwise product of two rows, written in place.
         """
         series, terms, products, self._at, height = fill
         rows = np.empty((height, n))
@@ -581,8 +582,12 @@ class ColumnTable:
             series_rows(self._vectors[var], top,
                         [(s, [placed[q][k - 1] for q, k in knots]) for s, knots in blocks],
                         rows[j:])
+        powers = {}  # (variable, power) -> its values, for the custom terms
         for j, term in terms:
-            rows[j] = math.prod(self._vectors[v] ** p for v, p in term)
+            for factor in term:
+                if factor not in powers:
+                    powers[factor] = self._vectors[factor[0]] ** factor[1]
+            rows[j] = math.prod([powers[factor] for factor in term])
         for j, first, second in products:
             np.multiply(rows[first], rows[second], out=rows[j])
         self.array = np.ascontiguousarray(rows.T)
@@ -631,13 +636,28 @@ def simulation_design(x1, x2, a_n: int, family: str = "power",
     return build_partially_linear({"x1": x1, "x2": x2}, simulation_spec(a_n, family), table)
 
 
+# a factor of a column label: a variable, a power of it or a knot term of it
+_LABEL_FACTOR = re.compile(r"(.+?)(?:\^\d+|_tp\S+)?")
+
+
+def _overflow_error(label: str) -> DesignError:
+    """The error for a design column whose sum of squares overflows, naming
+    the column and the variables of its label."""
+    names = dict.fromkeys(_LABEL_FACTOR.fullmatch(factor).group(1)
+                          for factor in label.split("*"))
+    return DesignError(f"column {label!r} overflows: its sum of squares is not finite "
+                       f"in double precision; rescale its variable{'s' * (len(names) > 1)} "
+                       + ", ".join(repr(name) for name in names))
+
+
 def screen_collinear(pair: DesignPair, tol: float = 1e-10):
     """Drop Z columns numerically inside the span of W and the kept Z columns.
 
     Greedy left-to-right: a column is dropped when the squared norm of its
     residual (after projecting on W and previously kept columns) falls below
-    ``tol`` times its own squared norm.  W is never touched: it is factored
-    by ``ols_fit``, so a W that is rank deficient at ``regress.RANK_RTOL``
+    ``tol`` times its own squared norm; a squared norm that overflows raises
+    ``_overflow_error``.  W is never touched: it is factored by ``ols_fit``,
+    so a W that is rank deficient at ``regress.RANK_RTOL`` or not finite
     raises an error naming its offending columns.
 
     Returns
@@ -647,11 +667,19 @@ def screen_collinear(pair: DesignPair, tol: float = 1e-10):
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
-    # orthonormal basis of W, grown as Z columns are accepted
-    basis = ols_fit(pair.w, np.zeros(pair.n_obs), column_labels=pair.w_labels).ortho
+    ortho = ols_fit(pair.w, np.zeros(pair.n_obs), column_labels=pair.w_labels).ortho
+    # orthonormal basis of W, grown in place as Z columns are accepted; in
+    # Fortran order each width is one contiguous block, whose products round
+    # as those of a fresh copy (a C-ordered buffer moves r2 in its last bits)
+    grown = np.empty((pair.n_obs, ortho.shape[1] + pair.r_n), order="F")
+    grown[:, :ortho.shape[1]] = ortho
+    width = ortho.shape[1]
     kept, dropped = [], []
     for j, (label, col) in enumerate(zip(pair.z_labels, pair.z.T)):
+        basis = grown[:, :width]
         norm2 = float(col @ col)
+        if not math.isfinite(norm2):
+            raise _overflow_error(label)
         resid = col - basis @ (basis.T @ col)
         resid -= basis @ (basis.T @ resid)  # second pass for orthogonality
         r2 = float(resid @ resid)
@@ -659,7 +687,8 @@ def screen_collinear(pair: DesignPair, tol: float = 1e-10):
             dropped.append(label)
             continue
         kept.append(j)
-        basis = np.column_stack([basis, resid / np.sqrt(r2)])
+        np.divide(resid, np.sqrt(r2), out=grown[:, width])
+        width += 1
 
     return DesignPair(pair.w, pair.z.take(kept, 1), pair.w_labels,
                       [pair.z_labels[j] for j in kept]), dropped

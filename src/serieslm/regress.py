@@ -94,7 +94,7 @@ def ols_fit(w, y, column_labels=None) -> FitResult:
     w : array, shape (n, m)
     y : array, shape (n,)
     column_labels : sequence of str, optional
-        Used to name offending columns when W is rank deficient.
+        Used to name offending columns when W is rank deficient or not finite.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim == 1:
@@ -106,7 +106,10 @@ def ols_fit(w, y, column_labels=None) -> FitResult:
     if n <= m:
         raise ValueError(f"need n > m (got n={n}, m={m})")
     if not (np.all(np.isfinite(w)) and np.all(np.isfinite(y))):
-        raise ValueError("non-finite values in regression inputs")
+        cols = np.flatnonzero(~np.isfinite(w).all(axis=0))
+        where = (f"; not finite: {', '.join(str(column_labels[j]) for j in cols)}"
+                 if column_labels is not None and cols.size else "")
+        raise ValueError(f"non-finite values in regression inputs{where}")
 
     lwork_qp3, lwork_gqr = _workspace(n, m)
     qr, piv, tau, _, info = _GEQP3(w, lwork=lwork_qp3)

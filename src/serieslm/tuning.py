@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design import SIMULATION_A_MIN, ColumnTable, simulation_design, simulation_spec
+from .design import (SIMULATION_A_MIN, ColumnTable, screen_collinear, simulation_design,
+                     simulation_spec)
 from .lmtest import SampleFit, check_alphas, check_not_exact_fit, chisq_rule
 from .regress import ols_fit
 
@@ -179,13 +180,22 @@ def data_driven_test(y, x1, x2, grid: TuningGrid, family: str = "power",
     only ones whose statistic is computed, and the null is rejected when the
     winning statistic exceeds the chi-square(r_min) critical value.  A
     constant response, or one that a tested candidate fits exactly, raises
-    ``ExactFitError`` naming ``response``; bad ``levels``, a ``ValueError``.
+    ``ExactFitError`` naming ``response``; bad ``levels``, a ``ValueError``;
+    a design column of the largest candidate that overflows, the error of
+    ``screen_collinear`` naming it.
     """
     levels = check_alphas(levels)
     y = np.asarray(y, dtype=float).ravel()
     check_not_exact_fit(y, response=response)
-    result = data_driven_decisions(y, x1, x2, grid, family=family, levels=levels,
-                                   criteria=(criterion,))[criterion]
+    try:
+        result = data_driven_decisions(y, x1, x2, grid, family=family, levels=levels,
+                                       criteria=(criterion,))[criterion]
+    except ValueError:
+        # a moment matrix that is not finite: the screen names a column that
+        # overflows, in the largest candidate's design, which holds the
+        # highest powers
+        screen_collinear(simulation_design(x1, x2, grid.candidates[-1], family))
+        raise
     # every tested candidate's statistic must rest on more than rounding noise
     check_not_exact_fit(y, min(row[3] for row in result.candidate_table), response)
     return result

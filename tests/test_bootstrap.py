@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import serieslm.bootstrap as bt
 from serieslm.errors import SingularMomentMatrixError
@@ -201,6 +202,54 @@ class TestBlockedDraws:
         res = bt.wild_bootstrap(fit, zt, 0.0, n_draws=30, dist="mammen", seed=4)
         expected, _ = per_draw_oracle(fit, zt, "mammen", 4, 30)
         np.testing.assert_allclose(res.t_star, expected, rtol=1e-10, atol=0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), r=st.integers(1, 40), extra=st.integers(20, 160),
+           n_draws=st.integers(1, 250), dist=st.sampled_from(bt.MULTIPLIERS))
+    def test_packed_draws_match_per_draw_oracle(self, seed, r, extra, n_draws, dist):
+        # B crosses the block edge; n from 2 r + 23 keeps every inner matrix
+        # well enough conditioned for the two factorizations to agree at 1e-10.
+        # Compared as quadratic forms, which are positive: a t* near 0 would
+        # turn a last-bit difference into any relative one
+        fit, zt, _, _, _ = make_fit(seed=seed, n=2 * r + 3 + extra, m=3, r=r)
+        res = bt.wild_bootstrap(fit, zt, 0.0, n_draws=n_draws, dist=dist, seed=seed)
+        expected, _ = per_draw_oracle(fit, zt, dist, seed, n_draws)
+        np.testing.assert_array_equal(np.isnan(res.t_star), np.isnan(expected))
+        scale = math.sqrt(2.0 * r)
+        np.testing.assert_allclose(res.t_star * scale + r, expected * scale + r,
+                                   rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("rows", [1, 7, 45])
+    def test_packed_rows_are_each_draws_upper_triangle(self, monkeypatch, rows):
+        # row b holds Zt' diag(s_b) Zt in np.triu_indices order, which is the
+        # lower triangle packed column by column
+        rng = np.random.default_rng(28)
+        zt = rng.normal(size=(100, 9))
+        s = rng.random((100, 5))
+        monkeypatch.setattr(bt, "_PANEL_SIZE", rows * 100)
+        packed = bt._packed_grams(np.ascontiguousarray(zt.T), s)
+        assert packed.shape == (5, 45)
+        upper = np.triu_indices(9)
+        for b in range(5):
+            gram = (zt * s[:, b, None]).T @ zt
+            np.testing.assert_allclose(packed[b], gram[upper], rtol=1e-12)
+            lower_by_column = [gram[i, j] for j in range(9) for i in range(j, 9)]
+            np.testing.assert_allclose(packed[b], lower_by_column, rtol=1e-12)
+
+    def test_packed_quadform_raises_on_a_singular_draw(self):
+        u = np.array([1.0, 2.0])
+        assert bt._packed_quadform(np.array([4.0, 0.0, 1.0]), u.copy()) == pytest.approx(
+            1.0 / 4.0 + 4.0)
+        with pytest.raises(SingularMomentMatrixError):
+            bt._packed_quadform(np.array([1.0, 1.0, 1.0]), u.copy())
+        with pytest.raises(SingularMomentMatrixError):
+            bt._packed_quadform(np.zeros(3), u.copy())
+
+    def test_non_finite_inner_matrix_raises(self):
+        fit, zt, _, _, _ = make_fit(seed=29)
+        zt[5, 1] = np.inf
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            bt.wild_bootstrap(fit, zt, 0.0, n_draws=3, seed=1)
 
     def test_peak_memory_of_one_call(self):
         # the benchmark's test size: Zt' and one block's weights, packed

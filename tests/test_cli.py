@@ -151,6 +151,34 @@ class TestLoadCsv:
         assert ("line 3, column 'x2': missing or non-finite value"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("body,message", [
+        # a non-finite cell in an earlier row comes first, whatever follows
+        ("1,2\n3,nan\n4,oops\n", "line 3, column 'y': missing or non-finite value"),
+        ("1,-inf\n\n3\n", "line 2, column 'y': missing or non-finite value"),
+        ("1,2\n\n3,4\ninf,5\n", "line 5, column 'x': missing or non-finite value"),
+        # in one row, the first bad cell from the left
+        ("1,2\nnan,oops\n", "line 3, column 'x': missing or non-finite value"),
+        ("1,2\noops,nan\n", "line 3, column 'x': non-numeric value 'oops'"),
+        ("1,2\n3,\n", "line 3, column 'y': non-numeric value ''"),
+        # a bad row before a non-finite cell
+        ("1,2\n3\n4,nan\n", "line 3 has 1 fields, expected 2"),
+        ("1,2\n3,oops\n4,nan\n", "line 3, column 'y': non-numeric value 'oops'"),
+    ])
+    def test_first_bad_cell_in_row_major_order(self, tmp_path, body, message):
+        p = tmp_path / "t.csv"
+        p.write_text("x,y\n" + body)
+        with pytest.raises(InputError) as info:
+            load_csv(p)
+        assert str(info.value) == f"{p}: {message}"
+
+    def test_columns_are_the_cells_as_floats(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("x,y\n0.1, 2e-3\n\n-7,1e308\n")
+        ds = load_csv(p)
+        assert ds.n == 2
+        assert ds["x"].tolist() == [0.1, -7.0] and ds["y"].tolist() == [2e-3, 1e308]
+        assert ds["x"].flags.c_contiguous and ds["y"].flags.c_contiguous
+
     @pytest.mark.parametrize("command", ["test", "tune"])
     def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path, command):
         # Excel's "CSV UTF-8" starts the file with one; it used to name the
@@ -254,7 +282,7 @@ class TestCmdTest:
                                                     fail):
         # 199 valid draws reach p = 1/200 = 0.005; one failed draw leaves 198,
         # whose least p-value 1/199 is above 0.005
-        real, calls = bootstrap._quadform, []
+        real, calls = bootstrap._packed_quadform, []
 
         def failing_once(*args):
             calls.append(None)
@@ -262,7 +290,7 @@ class TestCmdTest:
                 raise SingularMomentMatrixError("injected")
             return real(*args)
 
-        monkeypatch.setattr(bootstrap, "_quadform", failing_once)
+        monkeypatch.setattr(bootstrap, "_packed_quadform", failing_once)
         data = write_sim_csv(tmp_path / "d.csv")
         cfg = sim_config(tmp_path / "c.json")
         out = tmp_path / "res.json"
@@ -1030,6 +1058,27 @@ class TestUnits:
         assert scaled["statistic"] == pytest.approx(unit["statistic"], rel=1e-9)
         assert [scaled[key] for key in self.KEYS[command]] == [
             unit[key] for key in self.KEYS[command]]
+
+    @pytest.mark.parametrize("command", ["test", "tune"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_an_overflowing_column_is_named(self, tmp_path, capsys, command):
+        # x1^2 of x1 * 1e80 has entries near 1e160, so its sum of squares
+        # overflows; both used to exit 2 with "array must not contain infs or
+        # NaNs", which names no column
+        y, x1, x2 = gen_sample(DgpSpec(300, "null", seed=3))
+        data = write_columns(tmp_path / "d.csv", y=y, x1=x1 * 1e80, x2=x2)
+        assert main([command, "--data", str(data)] + self.ARGS[command](tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.endswith("input error: column 'x1^2' overflows: its sum of squares is "
+                            "not finite in double precision; rescale its variable 'x1'\n")
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_an_overflowing_null_column_is_named(self, tmp_path, capsys):
+        y, x1, x2 = gen_sample(DgpSpec(300, "null", seed=3))
+        data = write_columns(tmp_path / "d.csv", y=y, x1=x1, x2=x2 * 1e80)
+        assert main(["test", "--data", str(data)] + self.ARGS["test"](tmp_path)) == 2
+        assert capsys.readouterr().err.endswith(
+            "input error: non-finite values in regression inputs; not finite: x2^4\n")
 
 
 class TestUnwritableOut:
